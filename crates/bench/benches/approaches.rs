@@ -85,13 +85,13 @@ fn bench_recovers(c: &mut Criterion) {
     let mut group = c.benchmark_group("recover");
     group.sample_size(10);
     group.bench_function("baseline_resnet18", |b| {
-        b.iter(|| f.svc.recover(&ba, RecoverOptions::default()).unwrap())
+        b.iter(|| f.svc.recover(&ba, RecoverOptions::default().paper_init(true)).unwrap())
     });
     group.bench_function("param_update_resnet18", |b| {
-        b.iter(|| f.svc.recover(&pua, RecoverOptions::default()).unwrap())
+        b.iter(|| f.svc.recover(&pua, RecoverOptions::default().paper_init(true)).unwrap())
     });
     group.bench_function("provenance_resnet18", |b| {
-        b.iter(|| f.svc.recover(&mpa, RecoverOptions::default()).unwrap())
+        b.iter(|| f.svc.recover(&mpa, RecoverOptions::default().paper_init(true)).unwrap())
     });
     group.finish();
 }

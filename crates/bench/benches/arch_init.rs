@@ -1,8 +1,9 @@
 //! Architecture construction cost — the ablation behind the paper's Fig. 12
-//! GoogLeNet anomaly: recovery must construct the architecture (running its
-//! init routine) before overwriting parameters, and GoogLeNet's
-//! inverse-CDF truncated-normal initializer is disproportionately slow for
-//! its parameter count.
+//! GoogLeNet anomaly: paper-faithful recovery constructs the architecture
+//! (running its init routine) before overwriting parameters, and
+//! GoogLeNet's inverse-CDF truncated-normal initializer is
+//! disproportionately slow for its parameter count. Default recovery builds
+//! a `Model::skeleton` instead and skips the init.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mmlib_model::{ArchId, Model};

@@ -494,7 +494,7 @@ fn fig12(config: &HarnessConfig) {
                 target = svc.save_full(&model, Some(&base), "partially_updated").unwrap();
                 base = target.clone();
             }
-            let rec = svc.recover(&target, RecoverOptions::default()).unwrap();
+            let rec = svc.recover(&target, RecoverOptions::default().paper_init(true)).unwrap();
             samples.push(rec.breakdown);
         }
         let med = |f: &dyn Fn(&mmlib_core::RecoverBreakdown) -> Duration| {

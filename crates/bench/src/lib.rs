@@ -356,7 +356,7 @@ pub fn lineage_depth_benchmark(config: &HarnessConfig, seed: u64) -> (serde_json
         let mut last = None;
         for _ in 0..runs {
             let t = Instant::now();
-            let rec = svc.recover(id, RecoverOptions::default()).expect("recover bench tip");
+            let rec = svc.recover(id, RecoverOptions::default().paper_init(true)).expect("recover bench tip");
             best = best.min(t.elapsed());
             last = Some(rec);
         }

@@ -2,15 +2,17 @@
 //!
 //! Save: environment doc + layer-hash doc + model-info doc; architecture
 //! code and the full serialized state dict as files. Recovery loads
-//! everything back, rebuilds the architecture (running its initialization
-//! routine — the step that makes GoogLeNet's recovery anomalously slow,
-//! Fig. 12), overwrites the parameters, and verifies.
+//! everything back, rebuilds the architecture, decodes the parameters into
+//! it, and verifies. The rebuild is an uninitialized skeleton by default;
+//! [`RecoverOptions::paper_init`](crate::RecoverOptions::paper_init) runs
+//! the architecture's init routine first, as the paper's mmlib does — the
+//! step that makes GoogLeNet's recovery anomalously slow (Fig. 12).
 
 use std::time::Instant;
 
 use mmlib_model::Model;
 use mmlib_obs::PhaseClock;
-use mmlib_tensor::ser::{state_from_bytes, state_to_bytes};
+use mmlib_tensor::ser::{parse_state, state_to_bytes};
 
 use crate::error::CoreError;
 use crate::meta::{ModelInfoDoc, ModelRelation, SavedModelId};
@@ -141,11 +143,14 @@ impl SaveService {
         Ok(old_weights)
     }
 
-    /// Recovers a baseline snapshot (no recursion).
+    /// Recovers a baseline snapshot (no recursion). `paper_init` runs the
+    /// architecture's init routine before the load (see
+    /// [`RecoverOptions::paper_init`](crate::RecoverOptions::paper_init)).
     pub(crate) fn recover_full(
         &self,
         info: &ModelInfoDoc,
         id: &SavedModelId,
+        paper_init: bool,
         breakdown: &mut RecoverBreakdown,
     ) -> Result<Model, CoreError> {
         let arch = self.arch_of(info, id)?;
@@ -165,13 +170,15 @@ impl SaveService {
         breakdown.load += start.elapsed();
 
         let start = Instant::now();
-        // Rebuild the architecture object. This runs the architecture's
-        // init routine before the parameters are overwritten — exactly what
+        // Rebuild the architecture object and decode the stored state
+        // straight into its tensors. Every entry is overwritten, so the
+        // skeleton's placeholder zeros never survive. With `paper_init` the
+        // rebuild first runs the init routine — what
         // `torchvision.models.X()` + `load_state_dict` does, and the origin
         // of the GoogLeNet recovery anomaly (paper Fig. 12).
-        let mut model = Model::new_initialized(arch, 0);
-        let entries = state_from_bytes(&bytes)?;
-        model.load_state_dict(&entries)?;
+        let mut model =
+            if paper_init { Model::new_initialized(arch, 0) } else { Model::skeleton(arch) };
+        model.load_encoded(&parse_state(&bytes)?)?;
         breakdown.recover += start.elapsed();
         Ok(model)
     }

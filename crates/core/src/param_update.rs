@@ -13,7 +13,7 @@ use std::time::Instant;
 
 use mmlib_model::Model;
 use mmlib_obs::PhaseClock;
-use mmlib_tensor::ser::{state_from_bytes, state_to_bytes};
+use mmlib_tensor::ser::{parse_state, state_to_bytes};
 
 use crate::error::CoreError;
 use crate::merkle::MerkleDiff;
@@ -249,9 +249,11 @@ impl SaveService {
         let bytes = self.read_file(weights_id)?;
         breakdown.load += start.elapsed();
 
+        // Merge policy (§3.2): prioritize M's information on conflicts.
         let start = Instant::now();
-        let entries = match info.update_encoding.as_deref() {
-            None | Some("state_dict") => state_from_bytes(&bytes)?,
+        match info.update_encoding.as_deref() {
+            // Decoded straight into the base's tensors.
+            None | Some("state_dict") => model.apply_encoded(&parse_state(&bytes)?)?,
             Some("delta_v1") => {
                 // Decode XOR deltas against the just-recovered base.
                 let base_entries = model.state_entries();
@@ -266,7 +268,7 @@ impl SaveService {
                 })?;
                 drop(base_map);
                 drop(base_entries);
-                decoded
+                model.apply_update(&decoded)?;
             }
             Some(other) => {
                 return Err(CoreError::BadModelDocument {
@@ -274,9 +276,7 @@ impl SaveService {
                     reason: format!("unknown update encoding {other:?}"),
                 })
             }
-        };
-        // Merge policy (§3.2): prioritize M's information on conflicts.
-        model.apply_update(&entries)?;
+        }
         breakdown.recover += start.elapsed();
         Ok(model)
     }

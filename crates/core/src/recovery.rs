@@ -39,16 +39,25 @@ pub struct RecoverOptions {
     pub verify: bool,
     /// Maximum base-chain depth (cycle/corruption guard).
     pub max_chain_depth: usize,
+    /// Rebuild snapshots the way the paper's mmlib does —
+    /// `torchvision.models.X()` runs the random init, then
+    /// `load_state_dict` overwrites it — instead of decoding into an
+    /// uninitialized skeleton. The result is bit-identical either way; only
+    /// the `rebuild` phase's cost differs. The reproduction harness turns
+    /// it on so its TTR figures (Fig. 12's GoogLeNet anomaly among them)
+    /// keep the paper's semantics.
+    pub paper_init: bool,
 }
 
 impl Default for RecoverOptions {
     fn default() -> Self {
-        RecoverOptions { check_env: true, verify: true, max_chain_depth: 1024 }
+        RecoverOptions { check_env: true, verify: true, max_chain_depth: 1024, paper_init: false }
     }
 }
 
 impl RecoverOptions {
-    /// The defaults: environment check on, verification on, depth 1024.
+    /// The defaults: environment check on, verification on, depth 1024,
+    /// skeleton rebuild (no paper init).
     pub fn new() -> RecoverOptions {
         RecoverOptions::default()
     }
@@ -68,6 +77,12 @@ impl RecoverOptions {
     /// Sets the maximum base-chain depth.
     pub fn max_chain_depth(mut self, depth: usize) -> RecoverOptions {
         self.max_chain_depth = depth;
+        self
+    }
+
+    /// Enables/disables the paper-faithful init before loading a snapshot.
+    pub fn paper_init(mut self, on: bool) -> RecoverOptions {
+        self.paper_init = on;
         self
     }
 }
@@ -335,7 +350,7 @@ impl SaveService {
         }
 
         match info.approach {
-            ApproachKind::Baseline => self.recover_full(&info, id, breakdown),
+            ApproachKind::Baseline => self.recover_full(&info, id, opts.paper_init, breakdown),
             ApproachKind::ParamUpdate => self.recover_update(&info, id, opts, depth, breakdown),
             ApproachKind::Provenance => self.recover_provenance(&info, id, opts, depth, breakdown),
         }
@@ -351,6 +366,7 @@ impl SaveService {
     /// responsible for passing the model the document's `base_model` refers
     /// to; the result is **not** verified — verify against the stored root
     /// with [`SaveService::verify_recovered`] when bit-exactness matters.
+    /// Snapshots are rebuilt as skeletons (no paper init).
     pub fn recover_onto(
         &self,
         id: &SavedModelId,
@@ -367,7 +383,7 @@ impl SaveService {
             })
         };
         match info.approach {
-            ApproachKind::Baseline => self.recover_full(&info, id, breakdown),
+            ApproachKind::Baseline => self.recover_full(&info, id, false, breakdown),
             ApproachKind::ParamUpdate => {
                 self.apply_update_onto(&info, id, need_base(base)?, breakdown)
             }

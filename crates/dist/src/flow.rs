@@ -430,11 +430,12 @@ fn run_flow_inner(
         result.saves.extend(records);
     }
 
-    // ---- U4: recover every saved model from the server.
+    // ---- U4: recover every saved model from the server, with the
+    // paper-faithful init so the reported TTRs keep the paper's semantics.
     if config.recover_all {
         for save in &result.saves {
             let report = server
-                .recover_report(&save.id, RecoverOptions::default())
+                .recover_report(&save.id, RecoverOptions::default().paper_init(true))
                 // mmlib-lint: allow(P1, a failed recovery invalidates the whole experiment; the harness aborts)
                 .expect("U4 recovery must succeed");
             result.recovers.push(RecoverRecord {

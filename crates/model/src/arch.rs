@@ -24,7 +24,7 @@
 //!   its initialization disproportionately slow — the cause of the
 //!   recovery-time anomaly in the paper's Fig. 12.
 
-use mmlib_tensor::{Init, Pcg32};
+use mmlib_tensor::{Fill, Init};
 use serde::{Deserialize, Serialize};
 
 use crate::common::{Dropout, Flatten, GlobalAvgPool, MaxPool2d, ReLU, ReLU6};
@@ -119,16 +119,17 @@ impl ArchId {
         }
     }
 
-    /// Builds the architecture with its torchvision-style initialization,
-    /// consuming randomness from `rng`.
-    pub fn build(self, rng: &mut Pcg32) -> Module {
+    /// Builds the architecture. A [`Fill::Seeded`] source runs its
+    /// torchvision-style initialization; [`Fill::Skeleton`] builds the same
+    /// tree and shapes without drawing a sample.
+    pub fn build(self, fill: &mut Fill<'_>) -> Module {
         match self {
-            ArchId::MobileNetV2 => mobilenet_v2(rng),
-            ArchId::GoogLeNet => googlenet(rng),
-            ArchId::ResNet18 => resnet(&[2, 2, 2, 2], Block::Basic, rng),
-            ArchId::ResNet50 => resnet(&[3, 4, 6, 3], Block::Bottleneck, rng),
-            ArchId::ResNet152 => resnet(&[3, 8, 36, 3], Block::Bottleneck, rng),
-            ArchId::TinyCnn => tiny_cnn(rng),
+            ArchId::MobileNetV2 => mobilenet_v2(fill),
+            ArchId::GoogLeNet => googlenet(fill),
+            ArchId::ResNet18 => resnet(&[2, 2, 2, 2], Block::Basic, fill),
+            ArchId::ResNet50 => resnet(&[3, 4, 6, 3], Block::Bottleneck, fill),
+            ArchId::ResNet152 => resnet(&[3, 8, 36, 3], Block::Bottleneck, fill),
+            ArchId::TinyCnn => tiny_cnn(fill),
         }
     }
 
@@ -171,59 +172,59 @@ fn resnet_conv(
     k: usize,
     stride: usize,
     pad: usize,
-    rng: &mut Pcg32,
+    fill: &mut Fill<'_>,
 ) -> Module {
     Module::Conv2d(
-        Conv2d::new(cin, cout, k, stride, pad, 1, false).init(Init::KaimingNormalFanOut, rng),
+        Conv2d::new(cin, cout, k, stride, pad, 1, false).init(Init::KaimingNormalFanOut, fill),
     )
 }
 
-fn basic_block(cin: usize, cout: usize, stride: usize, rng: &mut Pcg32) -> Module {
+fn basic_block(cin: usize, cout: usize, stride: usize, fill: &mut Fill<'_>) -> Module {
     let body = named(vec![
-        ("conv1".into(), resnet_conv(cin, cout, 3, stride, 1, rng)),
+        ("conv1".into(), resnet_conv(cin, cout, 3, stride, 1, fill)),
         ("bn1".into(), Module::BatchNorm2d(BatchNorm2d::new(cout))),
         ("relu1".into(), Module::ReLU(ReLU::new())),
-        ("conv2".into(), resnet_conv(cout, cout, 3, 1, 1, rng)),
+        ("conv2".into(), resnet_conv(cout, cout, 3, 1, 1, fill)),
         ("bn2".into(), Module::BatchNorm2d(BatchNorm2d::new(cout))),
     ]);
     let downsample = (stride != 1 || cin != cout).then(|| {
         named(vec![
-            ("0".into(), resnet_conv(cin, cout, 1, stride, 0, rng)),
+            ("0".into(), resnet_conv(cin, cout, 1, stride, 0, fill)),
             ("1".into(), Module::BatchNorm2d(BatchNorm2d::new(cout))),
         ])
     });
     Module::Residual(Residual::new(body, downsample, true))
 }
 
-fn bottleneck_block(cin: usize, width: usize, stride: usize, rng: &mut Pcg32) -> Module {
+fn bottleneck_block(cin: usize, width: usize, stride: usize, fill: &mut Fill<'_>) -> Module {
     let cout = width * 4;
     let body = named(vec![
-        ("conv1".into(), resnet_conv(cin, width, 1, 1, 0, rng)),
+        ("conv1".into(), resnet_conv(cin, width, 1, 1, 0, fill)),
         ("bn1".into(), Module::BatchNorm2d(BatchNorm2d::new(width))),
         ("relu1".into(), Module::ReLU(ReLU::new())),
-        ("conv2".into(), resnet_conv(width, width, 3, stride, 1, rng)),
+        ("conv2".into(), resnet_conv(width, width, 3, stride, 1, fill)),
         ("bn2".into(), Module::BatchNorm2d(BatchNorm2d::new(width))),
         ("relu2".into(), Module::ReLU(ReLU::new())),
-        ("conv3".into(), resnet_conv(width, cout, 1, 1, 0, rng)),
+        ("conv3".into(), resnet_conv(width, cout, 1, 1, 0, fill)),
         ("bn3".into(), Module::BatchNorm2d(BatchNorm2d::new(cout))),
     ]);
     let downsample = (stride != 1 || cin != cout).then(|| {
         named(vec![
-            ("0".into(), resnet_conv(cin, cout, 1, stride, 0, rng)),
+            ("0".into(), resnet_conv(cin, cout, 1, stride, 0, fill)),
             ("1".into(), Module::BatchNorm2d(BatchNorm2d::new(cout))),
         ])
     });
     Module::Residual(Residual::new(body, downsample, true))
 }
 
-fn resnet(layers: &[usize; 4], block: Block, rng: &mut Pcg32) -> Module {
+fn resnet(layers: &[usize; 4], block: Block, fill: &mut Fill<'_>) -> Module {
     let widths = [64usize, 128, 256, 512];
     let expansion = match block {
         Block::Basic => 1,
         Block::Bottleneck => 4,
     };
     let mut children: Vec<(String, Module)> = vec![
-        ("conv1".into(), resnet_conv(3, 64, 7, 2, 3, rng)),
+        ("conv1".into(), resnet_conv(3, 64, 7, 2, 3, fill)),
         ("bn1".into(), Module::BatchNorm2d(BatchNorm2d::new(64))),
         ("relu".into(), Module::ReLU(ReLU::new())),
         ("maxpool".into(), Module::MaxPool2d(MaxPool2d::new(3, 2, 1))),
@@ -235,8 +236,8 @@ fn resnet(layers: &[usize; 4], block: Block, rng: &mut Pcg32) -> Module {
         for j in 0..n {
             let stride = if j == 0 { stage_stride } else { 1 };
             let b = match block {
-                Block::Basic => basic_block(cin, width, stride, rng),
-                Block::Bottleneck => bottleneck_block(cin, width, stride, rng),
+                Block::Basic => basic_block(cin, width, stride, fill),
+                Block::Bottleneck => bottleneck_block(cin, width, stride, fill),
             };
             cin = width * expansion;
             blocks.push((j.to_string(), b));
@@ -246,7 +247,7 @@ fn resnet(layers: &[usize; 4], block: Block, rng: &mut Pcg32) -> Module {
     children.push(("avgpool".into(), Module::GlobalAvgPool(GlobalAvgPool::new())));
     children.push((
         "fc".into(),
-        Module::Linear(Linear::new(cin, NUM_CLASSES).init(Init::UniformFanIn, Init::UniformFanIn, rng)),
+        Module::Linear(Linear::new(cin, NUM_CLASSES).init(Init::UniformFanIn, Init::UniformFanIn, fill)),
     ));
     named(children)
 }
@@ -261,7 +262,7 @@ fn mnv2_conv_bn_relu(
     k: usize,
     stride: usize,
     groups: usize,
-    rng: &mut Pcg32,
+    fill: &mut Fill<'_>,
 ) -> Vec<(String, Module)> {
     let pad = (k - 1) / 2;
     vec![
@@ -269,7 +270,7 @@ fn mnv2_conv_bn_relu(
             "0".into(),
             Module::Conv2d(
                 Conv2d::new(cin, cout, k, stride, pad, groups, false)
-                    .init(Init::KaimingNormalFanOut, rng),
+                    .init(Init::KaimingNormalFanOut, fill),
             ),
         ),
         ("1".into(), Module::BatchNorm2d(BatchNorm2d::new(cout))),
@@ -277,7 +278,7 @@ fn mnv2_conv_bn_relu(
     ]
 }
 
-fn inverted_residual(cin: usize, cout: usize, stride: usize, expand: usize, rng: &mut Pcg32) -> Module {
+fn inverted_residual(cin: usize, cout: usize, stride: usize, expand: usize, fill: &mut Fill<'_>) -> Module {
     let hidden = cin * expand;
     let mut seq: Vec<(String, Module)> = Vec::new();
     let mut idx = 0usize;
@@ -287,16 +288,16 @@ fn inverted_residual(cin: usize, cout: usize, stride: usize, expand: usize, rng:
     };
     if expand != 1 {
         // Pointwise expansion.
-        push(&mut seq, Module::Conv2d(Conv2d::new(cin, hidden, 1, 1, 0, 1, false).init(Init::KaimingNormalFanOut, rng)));
+        push(&mut seq, Module::Conv2d(Conv2d::new(cin, hidden, 1, 1, 0, 1, false).init(Init::KaimingNormalFanOut, fill)));
         push(&mut seq, Module::BatchNorm2d(BatchNorm2d::new(hidden)));
         push(&mut seq, Module::ReLU6(ReLU6::new()));
     }
     // Depthwise.
-    push(&mut seq, Module::Conv2d(Conv2d::new(hidden, hidden, 3, stride, 1, hidden, false).init(Init::KaimingNormalFanOut, rng)));
+    push(&mut seq, Module::Conv2d(Conv2d::new(hidden, hidden, 3, stride, 1, hidden, false).init(Init::KaimingNormalFanOut, fill)));
     push(&mut seq, Module::BatchNorm2d(BatchNorm2d::new(hidden)));
     push(&mut seq, Module::ReLU6(ReLU6::new()));
     // Linear projection.
-    push(&mut seq, Module::Conv2d(Conv2d::new(hidden, cout, 1, 1, 0, 1, false).init(Init::KaimingNormalFanOut, rng)));
+    push(&mut seq, Module::Conv2d(Conv2d::new(hidden, cout, 1, 1, 0, 1, false).init(Init::KaimingNormalFanOut, fill)));
     push(&mut seq, Module::BatchNorm2d(BatchNorm2d::new(cout)));
     let body = named(seq);
     if stride == 1 && cin == cout {
@@ -306,7 +307,7 @@ fn inverted_residual(cin: usize, cout: usize, stride: usize, expand: usize, rng:
     }
 }
 
-fn mobilenet_v2(rng: &mut Pcg32) -> Module {
+fn mobilenet_v2(fill: &mut Fill<'_>) -> Module {
     // (expand, out_channels, repeats, first_stride) — Table 2 of the paper's
     // reference [30] (Sandler et al.).
     const CFG: [(usize, usize, usize, usize); 7] = [
@@ -319,18 +320,18 @@ fn mobilenet_v2(rng: &mut Pcg32) -> Module {
         (6, 320, 1, 1),
     ];
     let mut features: Vec<(String, Module)> = Vec::new();
-    features.push(("0".into(), named(mnv2_conv_bn_relu(3, 32, 3, 2, 1, rng))));
+    features.push(("0".into(), named(mnv2_conv_bn_relu(3, 32, 3, 2, 1, fill))));
     let mut cin = 32usize;
     let mut fi = 1usize;
     for (t, c, n, s) in CFG {
         for j in 0..n {
             let stride = if j == 0 { s } else { 1 };
-            features.push((fi.to_string(), inverted_residual(cin, c, stride, t, rng)));
+            features.push((fi.to_string(), inverted_residual(cin, c, stride, t, fill)));
             cin = c;
             fi += 1;
         }
     }
-    features.push((fi.to_string(), named(mnv2_conv_bn_relu(cin, 1280, 1, 1, 1, rng))));
+    features.push((fi.to_string(), named(mnv2_conv_bn_relu(cin, 1280, 1, 1, 1, fill))));
     named(vec![
         ("features".into(), named(features)),
         ("avgpool".into(), Module::GlobalAvgPool(GlobalAvgPool::new())),
@@ -342,7 +343,7 @@ fn mobilenet_v2(rng: &mut Pcg32) -> Module {
                     "1".into(),
                     Module::Linear(
                         Linear::new(1280, NUM_CLASSES)
-                            .init(Init::KaimingNormalFanOut, Init::Zeros, rng),
+                            .init(Init::KaimingNormalFanOut, Init::Zeros, fill),
                     ),
                 ),
             ]),
@@ -354,13 +355,13 @@ fn mobilenet_v2(rng: &mut Pcg32) -> Module {
 // GoogLeNet
 // ---------------------------------------------------------------------------
 
-fn basic_conv(cin: usize, cout: usize, k: usize, stride: usize, pad: usize, rng: &mut Pcg32) -> Module {
+fn basic_conv(cin: usize, cout: usize, k: usize, stride: usize, pad: usize, fill: &mut Fill<'_>) -> Module {
     named(vec![
         (
             "conv".into(),
             Module::Conv2d(
                 Conv2d::new(cin, cout, k, stride, pad, 1, false)
-                    .init(Init::TruncatedNormalPpf { std: 0.01 }, rng),
+                    .init(Init::TruncatedNormalPpf { std: 0.01 }, fill),
             ),
         ),
         ("bn".into(), Module::BatchNorm2d(BatchNorm2d::new(cout))),
@@ -377,59 +378,59 @@ fn inception(
     c5r: usize,
     c5: usize,
     pool_proj: usize,
-    rng: &mut Pcg32,
+    fill: &mut Fill<'_>,
 ) -> Module {
     Module::Branches(crate::module::Branches::new(vec![
-        ("branch1".into(), basic_conv(cin, c1, 1, 1, 0, rng)),
+        ("branch1".into(), basic_conv(cin, c1, 1, 1, 0, fill)),
         (
             "branch2".into(),
             named(vec![
-                ("0".into(), basic_conv(cin, c3r, 1, 1, 0, rng)),
-                ("1".into(), basic_conv(c3r, c3, 3, 1, 1, rng)),
+                ("0".into(), basic_conv(cin, c3r, 1, 1, 0, fill)),
+                ("1".into(), basic_conv(c3r, c3, 3, 1, 1, fill)),
             ]),
         ),
         (
             "branch3".into(),
             named(vec![
-                ("0".into(), basic_conv(cin, c5r, 1, 1, 0, rng)),
+                ("0".into(), basic_conv(cin, c5r, 1, 1, 0, fill)),
                 // torchvision's famous bug: the "5x5" branch uses kernel 3.
-                ("1".into(), basic_conv(c5r, c5, 3, 1, 1, rng)),
+                ("1".into(), basic_conv(c5r, c5, 3, 1, 1, fill)),
             ]),
         ),
         (
             "branch4".into(),
             named(vec![
                 ("0".into(), Module::MaxPool2d(MaxPool2d::new(3, 1, 1))),
-                ("1".into(), basic_conv(cin, pool_proj, 1, 1, 0, rng)),
+                ("1".into(), basic_conv(cin, pool_proj, 1, 1, 0, fill)),
             ]),
         ),
     ]))
 }
 
-fn googlenet(rng: &mut Pcg32) -> Module {
+fn googlenet(fill: &mut Fill<'_>) -> Module {
     named(vec![
-        ("conv1".into(), basic_conv(3, 64, 7, 2, 3, rng)),
+        ("conv1".into(), basic_conv(3, 64, 7, 2, 3, fill)),
         ("maxpool1".into(), Module::MaxPool2d(MaxPool2d::new(3, 2, 1))),
-        ("conv2".into(), basic_conv(64, 64, 1, 1, 0, rng)),
-        ("conv3".into(), basic_conv(64, 192, 3, 1, 1, rng)),
+        ("conv2".into(), basic_conv(64, 64, 1, 1, 0, fill)),
+        ("conv3".into(), basic_conv(64, 192, 3, 1, 1, fill)),
         ("maxpool2".into(), Module::MaxPool2d(MaxPool2d::new(3, 2, 1))),
-        ("inception3a".into(), inception(192, 64, 96, 128, 16, 32, 32, rng)),
-        ("inception3b".into(), inception(256, 128, 128, 192, 32, 96, 64, rng)),
+        ("inception3a".into(), inception(192, 64, 96, 128, 16, 32, 32, fill)),
+        ("inception3b".into(), inception(256, 128, 128, 192, 32, 96, 64, fill)),
         ("maxpool3".into(), Module::MaxPool2d(MaxPool2d::new(3, 2, 1))),
-        ("inception4a".into(), inception(480, 192, 96, 208, 16, 48, 64, rng)),
-        ("inception4b".into(), inception(512, 160, 112, 224, 24, 64, 64, rng)),
-        ("inception4c".into(), inception(512, 128, 128, 256, 24, 64, 64, rng)),
-        ("inception4d".into(), inception(512, 112, 144, 288, 32, 64, 64, rng)),
-        ("inception4e".into(), inception(528, 256, 160, 320, 32, 128, 128, rng)),
+        ("inception4a".into(), inception(480, 192, 96, 208, 16, 48, 64, fill)),
+        ("inception4b".into(), inception(512, 160, 112, 224, 24, 64, 64, fill)),
+        ("inception4c".into(), inception(512, 128, 128, 256, 24, 64, 64, fill)),
+        ("inception4d".into(), inception(512, 112, 144, 288, 32, 64, 64, fill)),
+        ("inception4e".into(), inception(528, 256, 160, 320, 32, 128, 128, fill)),
         ("maxpool4".into(), Module::MaxPool2d(MaxPool2d::new(2, 2, 0))),
-        ("inception5a".into(), inception(832, 256, 160, 320, 32, 128, 128, rng)),
-        ("inception5b".into(), inception(832, 384, 192, 384, 48, 128, 128, rng)),
+        ("inception5a".into(), inception(832, 256, 160, 320, 32, 128, 128, fill)),
+        ("inception5b".into(), inception(832, 384, 192, 384, 48, 128, 128, fill)),
         ("avgpool".into(), Module::GlobalAvgPool(GlobalAvgPool::new())),
         ("dropout".into(), Module::Dropout(Dropout::new(0.2))),
         (
             "fc".into(),
             Module::Linear(
-                Linear::new(1024, NUM_CLASSES).init(Init::TruncatedNormalPpf { std: 0.01 }, Init::Zeros, rng),
+                Linear::new(1024, NUM_CLASSES).init(Init::TruncatedNormalPpf { std: 0.01 }, Init::Zeros, fill),
             ),
         ),
     ])
@@ -439,24 +440,24 @@ fn googlenet(rng: &mut Pcg32) -> Module {
 // TinyCnn (test-only; not part of the paper's Table 2)
 // ---------------------------------------------------------------------------
 
-fn tiny_cnn(rng: &mut Pcg32) -> Module {
+fn tiny_cnn(fill: &mut Fill<'_>) -> Module {
     named(vec![
         (
             "conv1".into(),
-            Module::Conv2d(Conv2d::new(3, 8, 3, 2, 1, 1, false).init(Init::KaimingNormalFanOut, rng)),
+            Module::Conv2d(Conv2d::new(3, 8, 3, 2, 1, 1, false).init(Init::KaimingNormalFanOut, fill)),
         ),
         ("bn1".into(), Module::BatchNorm2d(BatchNorm2d::new(8))),
         ("relu1".into(), Module::ReLU(ReLU::new())),
         (
             "conv2".into(),
-            Module::Conv2d(Conv2d::new(8, 16, 3, 2, 1, 1, false).init(Init::KaimingNormalFanOut, rng)),
+            Module::Conv2d(Conv2d::new(8, 16, 3, 2, 1, 1, false).init(Init::KaimingNormalFanOut, fill)),
         ),
         ("bn2".into(), Module::BatchNorm2d(BatchNorm2d::new(16))),
         ("relu2".into(), Module::ReLU(ReLU::new())),
         ("avgpool".into(), Module::GlobalAvgPool(GlobalAvgPool::new())),
         (
             "fc".into(),
-            Module::Linear(Linear::new(16, NUM_CLASSES).init(Init::UniformFanIn, Init::UniformFanIn, rng)),
+            Module::Linear(Linear::new(16, NUM_CLASSES).init(Init::UniformFanIn, Init::UniformFanIn, fill)),
         ),
     ])
 }

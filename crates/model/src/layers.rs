@@ -16,7 +16,7 @@
 // rewrites obscure the arithmetic without changing the codegen.
 #![allow(clippy::needless_range_loop)]
 
-use mmlib_tensor::{ExecMode, Init, Tensor};
+use mmlib_tensor::{ExecMode, Fill, Init, Tensor};
 
 use crate::module::{dims4, Ctx, EntryKind};
 
@@ -144,9 +144,9 @@ impl Conv2d {
         }
     }
 
-    /// Initializes the weight (and zeroes the bias) with `init` and `rng`.
-    pub fn init(mut self, init: Init, rng: &mut mmlib_tensor::Pcg32) -> Self {
-        self.weight = init.materialize(self.weight.shape().clone(), rng);
+    /// Initializes the weight with `init`, drawing from `fill`.
+    pub fn init(mut self, init: Init, fill: &mut Fill<'_>) -> Self {
+        self.weight = init.materialize(self.weight.shape().clone(), fill);
         self
     }
 
@@ -706,10 +706,10 @@ impl Linear {
         }
     }
 
-    /// Initializes weight and bias with the given rules.
-    pub fn init(mut self, w: Init, b: Init, rng: &mut mmlib_tensor::Pcg32) -> Self {
-        self.weight = w.materialize([self.out_features, self.in_features], rng);
-        self.bias = b.materialize([self.out_features], rng);
+    /// Initializes weight and bias with the given rules, drawing from `fill`.
+    pub fn init(mut self, w: Init, b: Init, fill: &mut Fill<'_>) -> Self {
+        self.weight = w.materialize([self.out_features, self.in_features], fill);
+        self.bias = b.materialize([self.out_features], fill);
         self
     }
 

@@ -3,7 +3,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use mmlib_tensor::{Pcg32, Tensor};
+use mmlib_tensor::ser::{EncodedEntry, EncodedTensor};
+use mmlib_tensor::{Fill, Pcg32, Tensor};
 
 use crate::arch::ArchId;
 use crate::module::{Ctx, EntryKind, Module};
@@ -66,7 +67,17 @@ impl Model {
     /// model (§2.3's seeded-randomness requirement).
     pub fn new_initialized(arch: ArchId, seed: u64) -> Model {
         let mut rng = Pcg32::new(seed, 0x6d6d6c69622d6d6f); // "mmlib-mo"
-        Model { arch, root: arch.build(&mut rng) }
+        Model { arch, root: arch.build(&mut Fill::Seeded(&mut rng)) }
+    }
+
+    /// Builds the architecture's module tree — same shapes, same
+    /// batch-norm constants — without running its init routine: every
+    /// randomly initialized tensor is left zeroed and no PRNG sample is
+    /// drawn. This is the construction half of [`Model::new_initialized`],
+    /// for callers that overwrite every entry right away (recovery,
+    /// [`Model::duplicate`]).
+    pub fn skeleton(arch: ArchId) -> Model {
+        Model { arch, root: arch.build(&mut Fill::Skeleton) }
     }
 
     /// Wraps an existing module tree (used in tests).
@@ -118,37 +129,7 @@ impl Model {
     /// Loads a full state dict. Every model entry must be present, every
     /// provided entry must exist in the model, and shapes must match.
     pub fn load_state_dict(&mut self, entries: &[(String, Tensor)]) -> Result<(), ModelError> {
-        let mut provided: BTreeMap<&str, &Tensor> =
-            entries.iter().map(|(p, t)| (p.as_str(), t)).collect();
-        let mut error: Option<ModelError> = None;
-        self.root.visit_state_mut("", &mut |path, dst, _| {
-            if error.is_some() {
-                return;
-            }
-            match provided.remove(path.as_str()) {
-                Some(src) => {
-                    if src.shape() != dst.shape() {
-                        error = Some(ModelError::ShapeMismatch {
-                            path,
-                            expected: dst.shape().dims().to_vec(),
-                            actual: src.shape().dims().to_vec(),
-                        });
-                    } else {
-                        // Copy in place: reusing the existing allocation
-                        // matters on systems where page faults are expensive.
-                        dst.data_mut().copy_from_slice(src.data());
-                    }
-                }
-                None => error = Some(ModelError::MissingEntry(path)),
-            }
-        });
-        if let Some(e) = error {
-            return Err(e);
-        }
-        if let Some((path, _)) = provided.pop_first() {
-            return Err(ModelError::UnexpectedEntry(path.to_string()));
-        }
-        Ok(())
+        self.merge(entries.iter().map(|(p, t)| (p.as_str(), t)), true)
     }
 
     /// Applies a *partial* state dict: provided entries overwrite matching
@@ -156,23 +137,50 @@ impl Model {
     /// the parameter-update approach performs at recovery ("prioritizing
     /// M's parameter information in case of merge conflicts", §3.2).
     pub fn apply_update(&mut self, entries: &[(String, Tensor)]) -> Result<(), ModelError> {
-        let mut provided: BTreeMap<&str, &Tensor> =
-            entries.iter().map(|(p, t)| (p.as_str(), t)).collect();
+        self.merge(entries.iter().map(|(p, t)| (p.as_str(), t)), false)
+    }
+
+    /// [`Model::load_state_dict`] from a parsed
+    /// [`state_to_bytes`](mmlib_tensor::ser::state_to_bytes) buffer
+    /// ([`mmlib_tensor::ser::parse_state`]): each entry's bytes are decoded
+    /// straight into the model's existing tensor, with no intermediate
+    /// tensors. Same checks, same errors.
+    pub fn load_encoded(&mut self, entries: &[EncodedEntry<'_>]) -> Result<(), ModelError> {
+        self.merge(entries.iter().map(|e| (e.name, &e.tensor)), true)
+    }
+
+    /// [`Model::apply_update`] from a parsed buffer, decoding in place like
+    /// [`Model::load_encoded`].
+    pub fn apply_encoded(&mut self, entries: &[EncodedEntry<'_>]) -> Result<(), ModelError> {
+        self.merge(entries.iter().map(|e| (e.name, &e.tensor)), false)
+    }
+
+    /// Copies each provided entry into the model tensor of the same path.
+    /// With `complete`, every model entry must be provided.
+    fn merge<'e, S: StateSource + 'e>(
+        &mut self,
+        entries: impl Iterator<Item = (&'e str, &'e S)>,
+        complete: bool,
+    ) -> Result<(), ModelError> {
+        let mut provided: BTreeMap<&str, &S> = entries.collect();
         let mut error: Option<ModelError> = None;
         self.root.visit_state_mut("", &mut |path, dst, _| {
             if error.is_some() {
                 return;
             }
-            if let Some(src) = provided.remove(path.as_str()) {
-                if src.shape() != dst.shape() {
+            match provided.remove(path.as_str()) {
+                Some(src) if src.dims() != dst.shape().dims() => {
                     error = Some(ModelError::ShapeMismatch {
                         path,
                         expected: dst.shape().dims().to_vec(),
-                        actual: src.shape().dims().to_vec(),
+                        actual: src.dims().to_vec(),
                     });
-                } else {
-                    dst.data_mut().copy_from_slice(src.data());
                 }
+                // Write in place: reusing the existing allocation matters
+                // on systems where page faults are expensive.
+                Some(src) => src.write_into(dst.data_mut()),
+                None if complete => error = Some(ModelError::MissingEntry(path)),
+                None => {}
             }
         });
         if let Some(e) = error {
@@ -264,7 +272,7 @@ impl Model {
     /// Creates an independent copy of this model (architecture + exact
     /// state). `Model` is deliberately not `Clone` so copies stay explicit.
     pub fn duplicate(&self) -> Model {
-        let mut copy = Model::new_initialized(self.arch, 0);
+        let mut copy = Model::skeleton(self.arch);
         copy.copy_state_from(self);
         copy
     }
@@ -281,5 +289,34 @@ impl Model {
             && a.iter()
                 .zip(&b)
                 .all(|((pa, ta, _, _), (pb, tb, _, _))| pa == pb && ta.bit_eq(tb))
+    }
+}
+
+/// A source of one state entry's values: an in-memory tensor or an
+/// encoded one, decoded on write.
+trait StateSource {
+    fn dims(&self) -> &[usize];
+    /// Writes the values into `dst`, whose length the caller has matched
+    /// to [`StateSource::dims`].
+    fn write_into(&self, dst: &mut [f32]);
+}
+
+impl StateSource for Tensor {
+    fn dims(&self) -> &[usize] {
+        self.shape().dims()
+    }
+
+    fn write_into(&self, dst: &mut [f32]) {
+        dst.copy_from_slice(self.data());
+    }
+}
+
+impl StateSource for EncodedTensor<'_> {
+    fn dims(&self) -> &[usize] {
+        EncodedTensor::dims(self)
+    }
+
+    fn write_into(&self, dst: &mut [f32]) {
+        self.decode_into(dst).expect("parse_state sized the data from the dims merge just matched");
     }
 }

@@ -4,7 +4,7 @@
 
 use mmlib_model::layers::{BatchNorm2d, Conv2d, Linear};
 use mmlib_model::{ArchId, Ctx, Model, Module};
-use mmlib_tensor::{ExecMode, Init, Pcg32, Tensor};
+use mmlib_tensor::{ExecMode, Fill, Init, Pcg32, Tensor};
 
 /// Scalar loss: sum of squares / 2 — gradient is the output itself.
 fn loss_and_grad(y: &Tensor) -> (f64, Tensor) {
@@ -67,7 +67,7 @@ fn grad_check(module: &mut Module, input: Tensor, samples: usize, tol: f32) {
 #[test]
 fn conv2d_gradients_match_numerics() {
     let mut rng = Pcg32::seeded(1);
-    let conv = Conv2d::new(3, 4, 3, 1, 1, 1, true).init(Init::XavierUniform, &mut rng);
+    let conv = Conv2d::new(3, 4, 3, 1, 1, 1, true).init(Init::XavierUniform, &mut Fill::Seeded(&mut rng));
     let mut m = Module::Conv2d(conv);
     let x = Tensor::rand_normal([2, 3, 5, 5], 0.0, 1.0, &mut rng);
     grad_check(&mut m, x, 4, 2e-2);
@@ -76,7 +76,7 @@ fn conv2d_gradients_match_numerics() {
 #[test]
 fn strided_grouped_conv_gradients_match_numerics() {
     let mut rng = Pcg32::seeded(2);
-    let conv = Conv2d::new(4, 4, 3, 2, 1, 4, false).init(Init::XavierUniform, &mut rng);
+    let conv = Conv2d::new(4, 4, 3, 2, 1, 4, false).init(Init::XavierUniform, &mut Fill::Seeded(&mut rng));
     let mut m = Module::Conv2d(conv);
     let x = Tensor::rand_normal([2, 4, 6, 6], 0.0, 1.0, &mut rng);
     grad_check(&mut m, x, 4, 2e-2);
@@ -85,7 +85,7 @@ fn strided_grouped_conv_gradients_match_numerics() {
 #[test]
 fn linear_gradients_match_numerics() {
     let mut rng = Pcg32::seeded(3);
-    let lin = Linear::new(8, 5).init(Init::XavierUniform, Init::UniformFanIn, &mut rng);
+    let lin = Linear::new(8, 5).init(Init::XavierUniform, Init::UniformFanIn, &mut Fill::Seeded(&mut rng));
     let mut m = Module::Linear(lin);
     // Linear expects [N, F]; wrap in a tiny harness via Module.
     let x = Tensor::rand_normal([3, 8], 0.0, 1.0, &mut rng);
@@ -108,9 +108,9 @@ fn composite_block_gradients_match_numerics() {
     // gradient itself is unit-tested in `mmlib_model::common`.
     let mut rng = Pcg32::seeded(5);
     let body = Module::seq(vec![
-        ("conv1", Module::Conv2d(Conv2d::new(3, 3, 3, 1, 1, 1, false).init(Init::XavierUniform, &mut rng))),
+        ("conv1", Module::Conv2d(Conv2d::new(3, 3, 3, 1, 1, 1, false).init(Init::XavierUniform, &mut Fill::Seeded(&mut rng)))),
         ("bn1", Module::BatchNorm2d(BatchNorm2d::new(3))),
-        ("conv2", Module::Conv2d(Conv2d::new(3, 3, 3, 1, 1, 1, false).init(Init::XavierUniform, &mut rng))),
+        ("conv2", Module::Conv2d(Conv2d::new(3, 3, 3, 1, 1, 1, false).init(Init::XavierUniform, &mut Fill::Seeded(&mut rng)))),
     ]);
     let mut m = Module::Residual(mmlib_model::module::Residual::new(body, None, false));
     let x = Tensor::rand_normal([2, 3, 4, 4], 0.0, 1.0, &mut rng);

@@ -197,6 +197,11 @@ pub const TAXONOMY: &[MetricDef] = &[
         kind: MetricKind::Counter,
         help: "Tensor digests computed on the parallel hashing path.",
     },
+    MetricDef {
+        name: "mmlib_tensor_init_elems_total",
+        kind: MetricKind::Counter,
+        help: "Tensor elements written by seeded weight initialization; skeleton builds add none.",
+    },
 ];
 
 /// Looks a metric name up in the taxonomy.

@@ -2,6 +2,9 @@
 //!
 //! Each initializer consumes randomness from an explicit [`Pcg32`], so that
 //! §2.3's "set the seed" discipline makes model construction bit-reproducible.
+//! The generator is wrapped in a [`Fill`]: a model about to be overwritten
+//! by a stored state dict is built from [`Fill::Skeleton`] instead, which
+//! draws nothing and leaves every random tensor zeroed.
 //! The set mirrors what torchvision's five evaluation models actually use:
 //! Kaiming (He) init for conv layers, uniform fan-in init for linear layers,
 //! constants for batch-norm, and — only in GoogLeNet — an expensive truncated
@@ -10,6 +13,21 @@
 use crate::prng::Pcg32;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
+
+/// Counter of tensor elements written by seeded initialization: one
+/// increment per [`Init::materialize`] call, by the tensor's element count.
+/// Skeleton fills add nothing, so a recovery that skips the init reads 0.
+const INIT_ELEMS_TOTAL: &str = "mmlib_tensor_init_elems_total";
+
+/// Where [`Init::materialize`] takes its values from.
+#[derive(Debug)]
+pub enum Fill<'a> {
+    /// Draw from this seeded generator: the architecture's real init.
+    Seeded(&'a mut Pcg32),
+    /// Draw nothing. Random rules yield zeros, constant rules their
+    /// constant; the tensors are placeholders for stored state.
+    Skeleton,
+}
 
 /// Which initialization rule to apply to a parameter tensor.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -125,14 +143,18 @@ pub fn fan_in_out(shape: &Shape) -> (usize, usize) {
 }
 
 impl Init {
-    /// Materializes a tensor of `shape` using this rule and `rng`.
-    pub fn materialize(self, shape: impl Into<Shape>, rng: &mut Pcg32) -> Tensor {
+    /// Materializes a tensor of `shape` using this rule, drawing from
+    /// `fill`. A [`Fill::Skeleton`] draws no samples.
+    pub fn materialize(self, shape: impl Into<Shape>, fill: &mut Fill<'_>) -> Tensor {
         let shape = shape.into();
+        let rng: &mut Pcg32 = match fill {
+            Fill::Seeded(rng) => rng,
+            Fill::Skeleton => return self.constant_or_zero(shape),
+        };
+        mmlib_obs::recorder().inc(INIT_ELEMS_TOTAL, shape.numel() as u64);
         let (fan_in, fan_out) = fan_in_out(&shape);
         match self {
-            Init::Zeros => Tensor::zeros(shape),
-            Init::Ones => Tensor::ones(shape),
-            Init::Constant(c) => Tensor::full(shape, c),
+            Init::Zeros | Init::Ones | Init::Constant(_) => self.constant_or_zero(shape),
             Init::KaimingUniform { a } => {
                 let gain = (2.0 / (1.0 + a * a)).sqrt();
                 let bound = gain * (3.0 / fan_in.max(1) as f32).sqrt();
@@ -169,6 +191,15 @@ impl Init {
             }
         }
     }
+
+    /// The rule's constant, or zeros for a random rule.
+    fn constant_or_zero(self, shape: Shape) -> Tensor {
+        match self {
+            Init::Ones => Tensor::ones(shape),
+            Init::Constant(c) => Tensor::full(shape, c),
+            _ => Tensor::zeros(shape),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -185,24 +216,24 @@ mod tests {
 
     #[test]
     fn constant_inits() {
-        let mut rng = Pcg32::seeded(0);
-        assert!(Init::Zeros.materialize([4], &mut rng).data().iter().all(|&v| v == 0.0));
-        assert!(Init::Ones.materialize([4], &mut rng).data().iter().all(|&v| v == 1.0));
-        assert!(Init::Constant(0.5).materialize([4], &mut rng).data().iter().all(|&v| v == 0.5));
+        let mut fill = Fill::Seeded(&mut Pcg32::seeded(0));
+        assert!(Init::Zeros.materialize([4], &mut fill).data().iter().all(|&v| v == 0.0));
+        assert!(Init::Ones.materialize([4], &mut fill).data().iter().all(|&v| v == 1.0));
+        assert!(Init::Constant(0.5).materialize([4], &mut fill).data().iter().all(|&v| v == 0.5));
     }
 
     #[test]
     fn kaiming_uniform_respects_bound() {
-        let mut rng = Pcg32::seeded(1);
-        let t = Init::KaimingUniform { a: 5f32.sqrt() }.materialize([64, 16, 3, 3], &mut rng);
+        let mut fill = Fill::Seeded(&mut Pcg32::seeded(1));
+        let t = Init::KaimingUniform { a: 5f32.sqrt() }.materialize([64, 16, 3, 3], &mut fill);
         let bound = (2.0f32 / 6.0).sqrt() * (3.0f32 / (16.0 * 9.0)).sqrt();
         assert!(t.data().iter().all(|v| v.abs() <= bound * 1.0001));
     }
 
     #[test]
     fn truncated_normal_stays_within_two_sigma() {
-        let mut rng = Pcg32::seeded(2);
-        let t = Init::TruncatedNormal { std: 0.01 }.materialize([2048], &mut rng);
+        let mut fill = Fill::Seeded(&mut Pcg32::seeded(2));
+        let t = Init::TruncatedNormal { std: 0.01 }.materialize([2048], &mut fill);
         assert!(t.data().iter().all(|v| v.abs() <= 0.02 * 1.0001));
     }
 
@@ -226,11 +257,11 @@ mod tests {
 
     #[test]
     fn ppf_truncnorm_within_bounds_and_deterministic() {
-        let mut rng = Pcg32::seeded(5);
-        let t = Init::TruncatedNormalPpf { std: 0.01 }.materialize([4096], &mut rng);
+        let mut fill = Fill::Seeded(&mut Pcg32::seeded(5));
+        let t = Init::TruncatedNormalPpf { std: 0.01 }.materialize([4096], &mut fill);
         assert!(t.data().iter().all(|v| v.abs() <= 0.02 * 1.001));
-        let mut rng2 = Pcg32::seeded(5);
-        let t2 = Init::TruncatedNormalPpf { std: 0.01 }.materialize([4096], &mut rng2);
+        let mut fill2 = Fill::Seeded(&mut Pcg32::seeded(5));
+        let t2 = Init::TruncatedNormalPpf { std: 0.01 }.materialize([4096], &mut fill2);
         assert!(t.bit_eq(&t2));
         // Distribution sanity: roughly centered.
         let mean: f32 = t.data().iter().sum::<f32>() / t.numel() as f32;
@@ -239,10 +270,44 @@ mod tests {
 
     #[test]
     fn init_is_seed_deterministic() {
-        let a = Init::XavierUniform.materialize([128, 64], &mut Pcg32::seeded(3));
-        let b = Init::XavierUniform.materialize([128, 64], &mut Pcg32::seeded(3));
+        let a = Init::XavierUniform.materialize([128, 64], &mut Fill::Seeded(&mut Pcg32::seeded(3)));
+        let b = Init::XavierUniform.materialize([128, 64], &mut Fill::Seeded(&mut Pcg32::seeded(3)));
         assert!(a.bit_eq(&b));
-        let c = Init::XavierUniform.materialize([128, 64], &mut Pcg32::seeded(4));
+        let c = Init::XavierUniform.materialize([128, 64], &mut Fill::Seeded(&mut Pcg32::seeded(4)));
         assert!(!a.bit_eq(&c));
+    }
+
+    #[test]
+    fn skeleton_fill_draws_nothing() {
+        let shape = [16, 3, 3, 3];
+        for init in [Init::KaimingNormalFanOut, Init::TruncatedNormalPpf { std: 0.01 }, Init::XavierUniform] {
+            assert!(init.materialize(shape, &mut Fill::Skeleton).data().iter().all(|&v| v == 0.0));
+        }
+        assert!(Init::Ones.materialize(shape, &mut Fill::Skeleton).data().iter().all(|&v| v == 1.0));
+        assert!(Init::Constant(0.5).materialize(shape, &mut Fill::Skeleton).data().iter().all(|&v| v == 0.5));
+    }
+
+    /// Seeded output of every rule, pinned to the digests the rules produced
+    /// before [`Fill`] existed: routing through it must not move a bit.
+    #[test]
+    fn seeded_rules_are_bit_stable() {
+        let pinned = [
+            (Init::Zeros, "ee8e9c8ac8408a54e45aac4d21a08cfe4fdb00c2b8a16e5fee31516e9b198439"),
+            (Init::Ones, "d7f065157e694bcf5e19756dd87b21d649cf75f6f939146b77aa2b66525648aa"),
+            (Init::Constant(0.25), "82d5c0b2e798ab1a671d71d7545e6cd28a005878e070a4725b783e06a5907b00"),
+            (Init::KaimingUniform { a: 5f32.sqrt() }, "daa96b7ef8b4cfd5a42fc6f934de8c0737f6d9b155673247bf81089cef608c9c"),
+            (Init::KaimingNormalFanOut, "2171b418eb23fb9a3ec906a456d2de86883c658cfcc6f4b677ee0ed6c84d8495"),
+            (Init::UniformFanIn, "daa96b7ef8b4cfd5a42fc6f934de8c0737f6d9b155673247bf81089cef608c9c"),
+            (Init::XavierUniform, "3ac26772f712bde4f4e0b39be9c8d3a5f72fb914dd5a4d8b02aad36af346f53c"),
+            (Init::TruncatedNormal { std: 0.02 }, "3562b73dc69d212d7484f94f3325c4eeb6c63ffe66f84cd7f9262892e3d336d1"),
+            (Init::TruncatedNormalPpf { std: 0.01 }, "bab72fe52dcd858cf6b7438f3fa4c1ce883a26be97c345f70ef15b1fd7636906"),
+        ];
+        for (init, digest) in pinned {
+            let mut fill = Fill::Seeded(&mut Pcg32::seeded(9));
+            let a = init.materialize([16, 3, 3, 3], &mut fill);
+            let b = init.materialize([10], &mut fill);
+            let bytes = crate::ser::state_to_bytes([("a", &a), ("b", &b)]);
+            assert_eq!(crate::hash::sha256(&bytes).to_hex(), digest, "{init:?}");
+        }
     }
 }

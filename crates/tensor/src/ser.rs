@@ -17,7 +17,7 @@
 use crate::error::TensorError;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
 const TENSOR_MAGIC: u32 = 0x4d4d5453; // "MMTS"
 const STATE_MAGIC: u32 = 0x4d4d5344; // "MMSD"
@@ -55,67 +55,120 @@ pub fn tensor_to_bytes(t: &Tensor) -> Bytes {
     out.freeze()
 }
 
-/// Deserializes one tensor from the front of `buf`, advancing it.
-pub fn read_tensor(buf: &mut Bytes) -> Result<Tensor, TensorError> {
-    if buf.remaining() < 8 {
-        return Err(TensorError::Corrupt("truncated tensor header".into()));
+/// Bounds-checked little-endian reads over a borrowed buffer.
+struct Reader<'a> {
+    buf: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    /// Splits off the next `n` bytes, or reports `what` as truncated.
+    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], TensorError> {
+        if self.buf.len() < n {
+            return Err(TensorError::Corrupt(format!(
+                "truncated {what}: need {n} bytes, have {}",
+                self.buf.len()
+            )));
+        }
+        let (head, rest) = self.buf.split_at(n);
+        self.buf = rest;
+        Ok(head)
     }
-    let magic = buf.get_u32_le();
+
+    fn u16(&mut self, what: &str) -> Result<u16, TensorError> {
+        let b = self.take(2, what)?;
+        Ok(u16::from_le_bytes([b[0], b[1]]))
+    }
+
+    fn u32(&mut self, what: &str) -> Result<u32, TensorError> {
+        let b = self.take(4, what)?;
+        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+    }
+
+    fn u64(&mut self, what: &str) -> Result<u64, TensorError> {
+        let b = self.take(8, what)?;
+        Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
+    }
+
+    fn finish(&self) -> Result<(), TensorError> {
+        if self.buf.is_empty() {
+            Ok(())
+        } else {
+            Err(TensorError::Corrupt(format!("{} trailing bytes", self.buf.len())))
+        }
+    }
+}
+
+/// One serialized tensor, validated but not decoded: its dims and a view
+/// of its little-endian `f32` bytes inside the encoded buffer.
+#[derive(Debug)]
+pub struct EncodedTensor<'a> {
+    dims: Vec<usize>,
+    data: &'a [u8],
+}
+
+impl EncodedTensor<'_> {
+    /// The tensor's shape dims.
+    pub fn dims(&self) -> &[usize] {
+        &self.dims
+    }
+
+    /// Decodes the data straight into `dst`, which must have the tensor's
+    /// element count.
+    pub fn decode_into(&self, dst: &mut [f32]) -> Result<(), TensorError> {
+        if dst.len() * 4 != self.data.len() {
+            return Err(TensorError::LengthMismatch {
+                expected: self.data.len() / 4,
+                actual: dst.len(),
+            });
+        }
+        for (d, b) in dst.iter_mut().zip(self.data.chunks_exact(4)) {
+            *d = f32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        }
+        Ok(())
+    }
+
+    /// Decodes into a freshly allocated tensor.
+    pub fn to_tensor(&self) -> Result<Tensor, TensorError> {
+        let mut data = vec![0.0f32; self.data.len() / 4];
+        self.decode_into(&mut data)?;
+        Tensor::from_vec(Shape::new(self.dims.clone()), data)
+    }
+}
+
+/// Parses one tensor header and claims its data bytes.
+fn parse_tensor<'a>(r: &mut Reader<'a>) -> Result<EncodedTensor<'a>, TensorError> {
+    let magic = r.u32("tensor header")?;
     if magic != TENSOR_MAGIC {
         return Err(TensorError::Corrupt(format!("bad tensor magic {magic:#x}")));
     }
-    let version = buf.get_u16_le();
+    let version = r.u16("tensor header")?;
     if version != VERSION {
         return Err(TensorError::UnsupportedVersion(version));
     }
-    let rank = buf.get_u16_le() as usize;
-    if buf.remaining() < rank * 8 {
-        return Err(TensorError::Corrupt("truncated dims".into()));
-    }
+    let rank = r.u16("tensor header")? as usize;
     let mut dims = Vec::with_capacity(rank);
+    let mut numel = 1usize;
     for _ in 0..rank {
-        let d = buf.get_u64_le();
-        if d > usize::MAX as u64 {
-            return Err(TensorError::Corrupt("dim overflows usize".into()));
-        }
-        dims.push(d as usize);
+        let d = usize::try_from(r.u64("dims")?)
+            .map_err(|_| TensorError::Corrupt("dim overflows usize".into()))?;
+        numel = numel.saturating_mul(d);
+        dims.push(d);
     }
-    let shape = Shape::new(dims);
-    let numel = shape.numel();
     if numel > (1 << 33) {
         // Defensive cap (~8G elements): a corrupt header must not trigger an
-        // allocation-of-doom before the length check below can fire.
+        // allocation-of-doom in whoever decodes the data.
         return Err(TensorError::Corrupt(format!("implausible element count {numel}")));
     }
-    if buf.remaining() < numel * 4 {
-        return Err(TensorError::Corrupt(format!(
-            "truncated data: need {} bytes, have {}",
-            numel * 4,
-            buf.remaining()
-        )));
-    }
-    let mut data = vec![0.0f32; numel];
-    // Bulk-read: `copy_to_slice` into a byte view of the f32 buffer would
-    // need unsafe; chunked conversion gets within noise of memcpy.
-    let mut raw = [0u8; 4096];
-    for chunk in data.chunks_mut(1024) {
-        let nbytes = chunk.len() * 4;
-        buf.copy_to_slice(&mut raw[..nbytes]);
-        for (i, v) in chunk.iter_mut().enumerate() {
-            *v = f32::from_le_bytes([raw[i * 4], raw[i * 4 + 1], raw[i * 4 + 2], raw[i * 4 + 3]]);
-        }
-    }
-    Tensor::from_vec(shape, data)
+    let data = r.take(numel * 4, "data")?;
+    Ok(EncodedTensor { dims, data })
 }
 
 /// Deserializes one tensor from a full buffer, requiring full consumption.
 pub fn tensor_from_bytes(bytes: &[u8]) -> Result<Tensor, TensorError> {
-    let mut buf = Bytes::copy_from_slice(bytes);
-    let t = read_tensor(&mut buf)?;
-    if buf.has_remaining() {
-        return Err(TensorError::Corrupt(format!("{} trailing bytes", buf.remaining())));
-    }
-    Ok(t)
+    let mut r = Reader { buf: bytes };
+    let t = parse_tensor(&mut r)?;
+    r.finish()?;
+    t.to_tensor()
 }
 
 /// Serializes an ordered list of `(name, tensor)` pairs — a state dict.
@@ -148,41 +201,51 @@ where
     out.freeze()
 }
 
-/// Deserializes a state dict written by [`state_to_bytes`].
-pub fn state_from_bytes(bytes: &[u8]) -> Result<Vec<(String, Tensor)>, TensorError> {
-    let mut buf = Bytes::copy_from_slice(bytes);
-    if buf.remaining() < 10 {
-        return Err(TensorError::Corrupt("truncated state header".into()));
-    }
-    let magic = buf.get_u32_le();
+/// One entry of an encoded state dict, borrowed from the encoded buffer.
+#[derive(Debug)]
+pub struct EncodedEntry<'a> {
+    /// The entry's path (e.g. `"layer1.0.body.conv1.weight"`).
+    pub name: &'a str,
+    /// The entry's tensor, not yet decoded.
+    pub tensor: EncodedTensor<'a>,
+}
+
+/// Parses a state dict written by [`state_to_bytes`] without copying any
+/// tensor data. Every framing check happens here — magic, version,
+/// truncation, implausible sizes, non-UTF-8 names, trailing bytes — so a
+/// caller that decodes the entries into existing tensors
+/// ([`EncodedTensor::decode_into`]) touches them only once the whole
+/// buffer is known to be well formed.
+pub fn parse_state(bytes: &[u8]) -> Result<Vec<EncodedEntry<'_>>, TensorError> {
+    let mut r = Reader { buf: bytes };
+    let magic = r.u32("state header")?;
     if magic != STATE_MAGIC {
         return Err(TensorError::Corrupt(format!("bad state magic {magic:#x}")));
     }
-    let version = buf.get_u16_le();
+    let version = r.u16("state header")?;
     if version != VERSION {
         return Err(TensorError::UnsupportedVersion(version));
     }
-    let count = buf.get_u32_le() as usize;
+    let count = r.u32("state header")? as usize;
     let mut entries = Vec::with_capacity(count.min(1 << 20));
     for _ in 0..count {
-        if buf.remaining() < 4 {
-            return Err(TensorError::Corrupt("truncated entry name length".into()));
-        }
-        let name_len = buf.get_u32_le() as usize;
-        if buf.remaining() < name_len {
-            return Err(TensorError::Corrupt("truncated entry name".into()));
-        }
-        let name_bytes = buf.split_to(name_len);
-        let name = std::str::from_utf8(&name_bytes)
-            .map_err(|_| TensorError::Corrupt("entry name is not utf-8".into()))?
-            .to_string();
-        let tensor = read_tensor(&mut buf)?;
-        entries.push((name, tensor));
+        let name_len = r.u32("entry name length")? as usize;
+        let name = std::str::from_utf8(r.take(name_len, "entry name")?)
+            .map_err(|_| TensorError::Corrupt("entry name is not utf-8".into()))?;
+        let tensor = parse_tensor(&mut r)?;
+        entries.push(EncodedEntry { name, tensor });
     }
-    if buf.has_remaining() {
-        return Err(TensorError::Corrupt(format!("{} trailing bytes", buf.remaining())));
-    }
+    r.finish()?;
     Ok(entries)
+}
+
+/// Deserializes a state dict written by [`state_to_bytes`] into owned
+/// tensors.
+pub fn state_from_bytes(bytes: &[u8]) -> Result<Vec<(String, Tensor)>, TensorError> {
+    parse_state(bytes)?
+        .into_iter()
+        .map(|e| Ok((e.name.to_string(), e.tensor.to_tensor()?)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -273,5 +336,50 @@ mod tests {
         // name length is at offset 10..14; the name byte itself at 14.
         bytes[14] = 0xff;
         assert!(state_from_bytes(&bytes).is_err());
+    }
+
+    fn two_entry_state() -> Vec<u8> {
+        let entries =
+            [("a.weight".to_string(), Tensor::ones([2, 3])), ("b".to_string(), Tensor::zeros([4]))];
+        state_to_bytes(entries.iter().map(|(n, t)| (n.as_str(), t))).to_vec()
+    }
+
+    #[test]
+    fn state_rejects_truncation_at_every_point() {
+        let bytes = two_entry_state();
+        assert_eq!(parse_state(&bytes).unwrap().len(), 2);
+        for cut in 0..bytes.len() {
+            assert!(parse_state(&bytes[..cut]).is_err(), "cut at {cut} accepted");
+        }
+    }
+
+    #[test]
+    fn state_rejects_trailing_garbage() {
+        let mut bytes = two_entry_state();
+        bytes.push(0);
+        assert!(matches!(parse_state(&bytes), Err(TensorError::Corrupt(_))));
+    }
+
+    #[test]
+    fn rejects_dims_whose_product_overflows() {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&TENSOR_MAGIC.to_le_bytes());
+        bytes.extend_from_slice(&VERSION.to_le_bytes());
+        bytes.extend_from_slice(&2u16.to_le_bytes());
+        bytes.extend_from_slice(&(u64::MAX / 2).to_le_bytes());
+        bytes.extend_from_slice(&16u64.to_le_bytes());
+        assert!(matches!(tensor_from_bytes(&bytes), Err(TensorError::Corrupt(_))));
+    }
+
+    #[test]
+    fn decode_into_checks_length_and_round_trips() {
+        let t = Tensor::rand_normal([3, 7], 0.0, 1.0, &mut Pcg32::seeded(4));
+        let bytes = state_to_bytes([("t", &t)]);
+        let entries = parse_state(&bytes).unwrap();
+        let mut dst = Tensor::zeros([3, 7]);
+        entries[0].tensor.decode_into(dst.data_mut()).unwrap();
+        assert!(dst.bit_eq(&t));
+        assert_eq!(entries[0].tensor.dims(), &[3, 7]);
+        assert!(entries[0].tensor.decode_into(&mut [0.0; 20]).is_err());
     }
 }

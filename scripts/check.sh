@@ -52,6 +52,13 @@ fi
 # 12/1.5 = 8 sync ops — the write win is held as a sync *count* because
 # shared-storage throughput varies severalfold run to run, while the number
 # of fdatasync/fsync calls the batch commit coalesces is machine-invariant.
+# The root `cargo build --release` builds only the facade package, so the
+# repro binary is built here from the current source (never a stale one).
+cargo build --release -p mmlib-bench --bins
+if [ ! -x ./target/release/repro ]; then
+    echo "check.sh: repro binary missing after building mmlib-bench (./target/release/repro)" >&2
+    exit 1
+fi
 if ! ./target/release/repro --fast --scale 0.001 --json BENCH_PR7.json --baseline BENCH_PR4.json; then
     echo "check.sh: phase benchmark FAILED (zero-sample phase or hot-path speedup regression)" >&2
     exit 1
