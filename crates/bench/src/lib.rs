@@ -167,6 +167,17 @@ pub fn phase_benchmark_with_arch(
         let sync_ops = mmlib_dist::metrics::median_u64(
             result.saves.iter().map(|s| s.sync_ops).collect(),
         );
+        let save_hash_bytes: Vec<serde_json::Value> = result
+            .saves
+            .iter()
+            .map(|s| {
+                serde_json::json!({
+                    "use_case": s.use_case.as_str(),
+                    "hashed_bytes": s.hashed_bytes,
+                    "changed_bytes": s.changed_bytes,
+                })
+            })
+            .collect();
         let save_phases = phase_stats(result.saves.iter().map(|s| &s.phases));
         let recover_phases = phase_stats(result.recovers.iter().map(|r| &r.phases));
 
@@ -190,6 +201,7 @@ pub fn phase_benchmark_with_arch(
                 "ttr_ms_median": ttr.as_secs_f64() * 1e3,
                 "storage_bytes_median": storage,
                 "save_sync_ops_median": sync_ops,
+                "save_hash_bytes": save_hash_bytes,
                 "save_phases": save_phases,
                 "recover_phases": recover_phases,
             }),
@@ -211,7 +223,7 @@ pub fn phase_benchmark_with_arch(
 }
 
 /// Minimum speedup of the PUA `hash` save phase over the frozen baseline
-/// document (the incremental-Merkle cache re-hashes only changed layers).
+/// document (digest memos mean a save hashes only the changed layers).
 /// Hashing is CPU-bound, so its wall clock is stable enough to gate.
 pub const GATE_PUA_HASH_SPEEDUP: f64 = 2.0;
 
@@ -227,11 +239,14 @@ pub const BA_PER_ARTIFACT_SYNC_OPS: f64 = 12.0;
 
 /// Compares a freshly generated phase-benchmark document against a frozen
 /// baseline and returns the list of regressions. Empty result means the
-/// gate passes. Three checks:
+/// gate passes. Four checks:
 ///
 /// * PUA `hash` save-phase wall clock must hold
 ///   [`GATE_PUA_HASH_SPEEDUP`] over the frozen baseline (CPU-bound, so
 ///   run-to-run stable).
+/// * Every PUA update save must hash at most the bytes of the layers its
+///   Merkle diff found changed: unchanged tensors answer from their digest
+///   memo. A byte count, so it holds on any machine.
 /// * BA durability syncs per save must be at least
 ///   [`GATE_BA_WRITE_SPEEDUP`] below [`BA_PER_ARTIFACT_SYNC_OPS`]. The
 ///   write win is gated on sync *count*, not wall clock: device throughput
@@ -257,6 +272,23 @@ pub fn phase_gate(current: &serde_json::Value, baseline: &serde_json::Value) -> 
         (old, new) => problems.push(format!(
             "PUA save phase \"hash\": cannot compute speedup (baseline {old:?}, current {new:?})"
         )),
+    }
+    let updates: Vec<(&str, u64, u64)> = current["approaches"]["PUA"]["save_hash_bytes"]
+        .as_array()
+        .into_iter()
+        .flatten()
+        .filter_map(|s| {
+            let (hashed, changed) = (s["hashed_bytes"].as_u64()?, s["changed_bytes"].as_u64()?);
+            Some((s["use_case"].as_str()?, hashed, changed))
+        })
+        .collect();
+    if updates.is_empty() {
+        problems.push("PUA save_hash_bytes missing or without update saves".to_string());
+    }
+    for (use_case, hashed, changed) in updates.into_iter().filter(|(_, h, c)| h > c) {
+        problems.push(format!(
+            "PUA update save {use_case} hashed {hashed} bytes, more than its changed layers' {changed}"
+        ));
     }
     let sync_bound = BA_PER_ARTIFACT_SYNC_OPS / GATE_BA_WRITE_SPEEDUP;
     match current["approaches"]["BA"]["save_sync_ops_median"].as_u64() {
@@ -459,9 +491,21 @@ mod tests {
     }
 
     fn current(pua_hash: f64, ba_sync_ops: u64) -> serde_json::Value {
+        with_hashed(pua_hash, ba_sync_ops, 5_124_000)
+    }
+
+    /// A current document whose one PUA update save hashed `hashed` bytes
+    /// against 5,124,000 changed.
+    fn with_hashed(pua_hash: f64, ba_sync_ops: u64, hashed: u64) -> serde_json::Value {
         serde_json::json!({
             "approaches": {
-                "PUA": {"save_phases": {"hash": {"seconds": pua_hash, "samples": 10}}},
+                "PUA": {
+                    "save_phases": {"hash": {"seconds": pua_hash, "samples": 10}},
+                    "save_hash_bytes": [
+                        {"use_case": "U1", "hashed_bytes": 14155936, "changed_bytes": null},
+                        {"use_case": "U3-1-1", "hashed_bytes": hashed, "changed_bytes": 5124000},
+                    ],
+                },
                 "BA": {"save_sync_ops_median": ba_sync_ops, "save_phases": {}},
             }
         })
@@ -482,6 +526,9 @@ mod tests {
         let too_many_syncs = phase_gate(&current(0.68 / 2.0, 9), &baseline(0.68));
         assert_eq!(too_many_syncs.len(), 1, "{too_many_syncs:?}");
         assert!(too_many_syncs[0].contains("sync ops"), "{too_many_syncs:?}");
+        let rehashed = phase_gate(&with_hashed(0.68 / 2.0, 8, 14_155_936), &baseline(0.68));
+        assert_eq!(rehashed.len(), 1, "{rehashed:?}");
+        assert!(rehashed[0].contains("U3-1-1"), "{rehashed:?}");
     }
 
     #[test]
@@ -498,6 +545,7 @@ mod tests {
         let problems = phase_gate(&current, &baseline(0.68));
         assert!(problems.iter().any(|p| p.contains("cannot compute")), "{problems:?}");
         assert!(problems.iter().any(|p| p.contains("save_sync_ops_median")), "{problems:?}");
+        assert!(problems.iter().any(|p| p.contains("save_hash_bytes")), "{problems:?}");
         assert!(problems.iter().any(|p| p.contains("zero samples")), "{problems:?}");
     }
 }

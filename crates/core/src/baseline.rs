@@ -11,13 +11,12 @@
 use std::time::Instant;
 
 use mmlib_model::Model;
-use mmlib_obs::PhaseClock;
 use mmlib_tensor::ser::{parse_state, state_to_bytes};
 
 use crate::error::CoreError;
 use crate::meta::{ModelInfoDoc, ModelRelation, SavedModelId};
 use crate::recovery::{RecoverBreakdown, SaveService};
-use crate::report::SaveRequest;
+use crate::report::{SaveClock, SaveRequest};
 
 impl SaveService {
     /// Saves a complete snapshot of `model` (the baseline approach).
@@ -46,7 +45,7 @@ impl SaveService {
         model: &Model,
         base: Option<&SavedModelId>,
         relation: &str,
-        clock: &mut PhaseClock<'_>,
+        clock: &mut SaveClock<'_>,
     ) -> Result<SavedModelId, CoreError> {
         let relation = parse_relation(relation, base)?;
 
@@ -60,7 +59,7 @@ impl SaveService {
         // Layer hashes: the baseline's optional recovery checksums —
         // mmlib always stores them, as the paper's PUA interop requires a
         // base's hashes to be loadable without recovering it.
-        let tree = clock.time("hash", || self.save_tree(model));
+        let tree = self.save_tree(model, clock);
 
         // The whole save is one batch commit: artifacts first, then the
         // model-info document referencing them by intra-batch `$batch:N`

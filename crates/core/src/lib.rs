@@ -22,7 +22,7 @@
 //!   training deterministically.
 //!
 //! All three share one storage layout ([`meta`]) over `mmlib-store`'s
-//! document + file stores, and one recursive [`recovery`] service that
+//! document + file stores, and one chain-resolving [`recovery`] service that
 //! dispatches on the saved approach per model. Every save records a
 //! Merkle root over the model's layer hashes, so every recovery can verify
 //! bit-exactness ([`verify`]).

@@ -9,7 +9,7 @@
 //! the last two layers changed).
 
 use mmlib_model::Model;
-use mmlib_tensor::hash::{hash_pair, hash_tensor, Digest, Sha256};
+use mmlib_tensor::hash::{hash_pair, Digest, Sha256};
 use serde::{Deserialize, Serialize};
 
 /// A Merkle tree over an ordered list of `(layer_path, digest)` leaves.
@@ -35,17 +35,6 @@ pub struct MerkleDiff {
     pub comparisons: u64,
 }
 
-/// The digest of one mmlib layer: the chained digest of the layer's state
-/// entries (parameters and buffers) in canonical order.
-pub fn layer_digest(entries: &[(&str, &mmlib_tensor::Tensor)]) -> Digest {
-    let mut h = Sha256::new();
-    for (name, tensor) in entries {
-        h.update(name.as_bytes());
-        h.update(&hash_tensor(tensor).0);
-    }
-    h.finalize()
-}
-
 /// Computes the per-entry digests for every state entry of a model, in
 /// state-entry order, hashing tensors across the parallel worker pool.
 ///
@@ -58,9 +47,11 @@ pub fn model_entry_digests(model: &Model) -> (Vec<String>, Vec<Digest>) {
     (entries.into_iter().map(|(path, _, _, _)| path).collect(), digests)
 }
 
-/// Folds per-entry digests into `(layer_path, digest)` leaves: consecutive
-/// entries sharing a layer prefix (the path minus its final `.name`
-/// component) chain into one [`Sha256`], exactly as [`layer_digest`] does.
+/// Folds per-entry digests into `(layer_path, digest)` leaves: a layer's
+/// digest chains its state entries (parameters and buffers) in canonical
+/// order — consecutive entries sharing a layer prefix (the path minus its
+/// final `.name` component) feed `name` then entry digest into one
+/// [`Sha256`].
 pub fn layer_hashes_from_entries(paths: &[String], digests: &[Digest]) -> Vec<(String, Digest)> {
     let mut out: Vec<(String, Digest)> = Vec::new();
     let mut current: Option<(String, Sha256)> = None;
@@ -126,49 +117,6 @@ impl MerkleTree {
     /// Builds the tree for a model's current parameters.
     pub fn from_model(model: &Model) -> MerkleTree {
         Self::from_leaves(model_layer_hashes(model))
-    }
-
-    /// Returns a copy of this tree with the given leaves replaced,
-    /// recomputing only the root-ward interior nodes above changed leaves —
-    /// the incremental splice behind the save-path hash cache.
-    ///
-    /// Byte-identical to `from_leaves` over the updated leaf list: interior
-    /// recomputation follows the same pairing (`hash_pair` of adjacent
-    /// nodes, odd trailing node carried up unchanged). Returns `None` when
-    /// any update names a path that is not a leaf of this tree — an
-    /// architecture change is a rebuild, not an update.
-    pub fn update_leaves(&self, updates: &[(String, Digest)]) -> Option<MerkleTree> {
-        let mut tree = self.clone();
-        let mut dirty: Vec<usize> = Vec::with_capacity(updates.len());
-        for (path, digest) in updates {
-            let i = tree.paths.iter().position(|p| p == path)?;
-            if tree.levels[0][i] != *digest {
-                tree.levels[0][i] = *digest;
-                dirty.push(i);
-            }
-        }
-        dirty.sort_unstable();
-        dirty.dedup();
-        for level in 1..tree.levels.len() {
-            let mut parents: Vec<usize> = dirty.iter().map(|i| i / 2).collect();
-            parents.dedup();
-            let (below, at) = {
-                // Split-borrow the consecutive levels being read and written.
-                let (lo, hi) = tree.levels.split_at_mut(level);
-                (&lo[level - 1], &mut hi[0])
-            };
-            for &p in &parents {
-                let left = p * 2;
-                let right = left + 1;
-                at[p] = if right < below.len() {
-                    hash_pair(&below[left], &below[right])
-                } else {
-                    below[left] // odd node carried up unchanged
-                };
-            }
-            dirty = parents;
-        }
-        Some(tree)
     }
 
     /// The root digest, committing to all layers.
@@ -363,30 +311,6 @@ mod tests {
         for ((hp, _), l) in hashes.iter().zip(&layers) {
             assert_eq!(hp, &l.path);
         }
-    }
-
-    #[test]
-    fn update_leaves_equals_rebuild() {
-        for n in [1usize, 2, 3, 8, 9, 41] {
-            let base = MerkleTree::from_leaves(leaves(n));
-            let changed: Vec<usize> = (0..n).filter(|i| i % 3 == 0).collect();
-            let updates: Vec<(String, Digest)> = changed
-                .iter()
-                .map(|&i| (format!("layer{i}"), sha256(format!("changed{i}").as_bytes())))
-                .collect();
-            let spliced = base.update_leaves(&updates).unwrap();
-            let rebuilt = MerkleTree::from_leaves(with_changed(n, &changed));
-            assert_eq!(spliced, rebuilt, "n={n}");
-        }
-    }
-
-    #[test]
-    fn update_leaves_rejects_unknown_paths() {
-        let base = MerkleTree::from_leaves(leaves(4));
-        let bogus = vec![("not_a_layer".to_string(), sha256(b"x"))];
-        assert!(base.update_leaves(&bogus).is_none());
-        // Empty update set is the identity.
-        assert_eq!(base.update_leaves(&[]).unwrap(), base);
     }
 
     #[test]

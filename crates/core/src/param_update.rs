@@ -6,20 +6,19 @@
 //! comparing the direct base model's hash values instead of recursively
 //! recovering it fully"). Only the changed layers' tensors are serialized.
 //!
-//! Recovery is recursive: recover B (which may itself be an update), then
-//! merge M's parameter update with M's values winning conflicts.
+//! Recovery resolves B first (which may itself be an update), then merges
+//! M's parameter update with M's values winning conflicts.
 
 use std::time::Instant;
 
 use mmlib_model::Model;
-use mmlib_obs::PhaseClock;
 use mmlib_tensor::ser::{parse_state, state_to_bytes};
 
 use crate::error::CoreError;
 use crate::merkle::MerkleDiff;
 use crate::meta::{ApproachKind, ModelInfoDoc, SavedModelId};
-use crate::recovery::{RecoverBreakdown, RecoverOptions, SaveService};
-use crate::report::{missing_field, SaveRequest};
+use crate::recovery::{RecoverBreakdown, SaveService};
+use crate::report::{missing_field, SaveClock, SaveRequest};
 
 impl SaveService {
     /// Saves `model` as a parameter update against `base`.
@@ -47,7 +46,7 @@ impl SaveService {
         model: &Model,
         base: &SavedModelId,
         relation: &str,
-        clock: &mut PhaseClock<'_>,
+        clock: &mut SaveClock<'_>,
     ) -> Result<(SavedModelId, MerkleDiff), CoreError> {
         let relation = crate::baseline::parse_relation(relation, Some(base))?;
 
@@ -64,7 +63,7 @@ impl SaveService {
             });
         }
         let base_tree = clock.time("diff", || self.load_layer_hashes(&base_info, base))?;
-        let tree = clock.time("hash", || self.save_tree(model));
+        let tree = self.save_tree(model, clock);
         let diff = clock.time("diff", || base_tree.diff(&tree));
 
         // Serialize only the changed layers' state entries (parameters and
@@ -148,7 +147,7 @@ impl SaveService {
         base_model: &Model,
         base: &SavedModelId,
         relation: &str,
-        clock: &mut PhaseClock<'_>,
+        clock: &mut SaveClock<'_>,
     ) -> Result<(SavedModelId, MerkleDiff, mmlib_compress::EncodedUpdate), CoreError> {
         let relation = crate::baseline::parse_relation(relation, Some(base))?;
         let base_info = clock.time("diff", || self.load_model_info(base))?;
@@ -161,12 +160,11 @@ impl SaveService {
         // The in-memory base must be the stored base, or deltas would
         // decode against the wrong parameters. (Charged to "hash": this is
         // a Merkle pass over the base's parameters.)
-        clock.time("hash", || {
-            crate::verify::verify_against_root(base_model, &base_info.root_hash, base)
-        })?;
+        let base_tree = self.save_tree(base_model, clock);
+        crate::verify::check_root(&base_tree, &base_info.root_hash, base)?;
 
         let base_tree = clock.time("diff", || self.load_layer_hashes(&base_info, base))?;
-        let tree = clock.time("hash", || self.save_tree(model));
+        let tree = self.save_tree(model, clock);
         let diff = clock.time("diff", || base_tree.diff(&tree));
         let changed: std::collections::BTreeSet<&str> =
             diff.changed.iter().map(|s| s.as_str()).collect();
@@ -214,26 +212,8 @@ impl SaveService {
         Ok((id, diff, encoded))
     }
 
-    /// Recovers a parameter-update model: recover the base, merge the update.
-    pub(crate) fn recover_update(
-        &self,
-        info: &ModelInfoDoc,
-        id: &SavedModelId,
-        opts: &RecoverOptions,
-        depth: usize,
-        breakdown: &mut RecoverBreakdown,
-    ) -> Result<Model, CoreError> {
-        let base_id = info.base_model.as_ref().ok_or_else(|| CoreError::BadModelDocument {
-            id: id.clone(),
-            reason: "parameter-update document lacks a base model".into(),
-        })?;
-        let base_id = SavedModelId(mmlib_store::DocId::from_string(base_id.clone()));
-        let model = self.recover_inner(&base_id, opts, depth + 1, breakdown)?;
-        self.apply_update_onto(info, id, model, breakdown)
-    }
-
-    /// Applies a parameter-update document onto its already-recovered base
-    /// (the non-recursive half of [`SaveService::recover_update`]).
+    /// Applies a parameter-update document onto its already-recovered base:
+    /// one step of the chain replay in `SaveService::recover_inner`.
     pub(crate) fn apply_update_onto(
         &self,
         info: &ModelInfoDoc,

@@ -15,13 +15,12 @@ use std::time::Instant;
 use mmlib_data::loader::LoaderConfig;
 use mmlib_data::{container, Dataset, DatasetId};
 use mmlib_model::Model;
-use mmlib_obs::PhaseClock;
 use mmlib_train::{ImageNetTrainService, OptimizerConfig, TrainConfig, TrainService};
 
 use crate::error::CoreError;
 use crate::meta::{ApproachKind, DatasetRef, ModelInfoDoc, ModelRelation, SavedModelId};
-use crate::recovery::{RecoverBreakdown, RecoverOptions, SaveService};
-use crate::report::SaveRequest;
+use crate::recovery::{RecoverBreakdown, SaveService};
+use crate::report::{SaveClock, SaveRequest};
 use crate::wrapper;
 
 /// Everything the provenance approach must capture about one training run.
@@ -74,7 +73,7 @@ impl SaveService {
         model_after_training: &Model,
         base: &SavedModelId,
         prov: &TrainProvenance,
-        clock: &mut PhaseClock<'_>,
+        clock: &mut SaveClock<'_>,
     ) -> Result<SavedModelId, CoreError> {
         if prov.relation == ModelRelation::Initial {
             return Err(CoreError::BadModelDocument {
@@ -128,7 +127,7 @@ impl SaveService {
         // reference and the wrapper tree, plus the lineage record — all one
         // batch commit, with model-info referencing the in-batch items via
         // `$batch:N` and the external wrapper/train docs by their real ids.
-        let tree = clock.time("hash", || self.save_tree(model_after_training));
+        let tree = self.save_tree(model_after_training, clock);
         let info = ModelInfoDoc {
             approach: ApproachKind::Provenance,
             arch: model_after_training.arch.name().to_string(),
@@ -153,27 +152,8 @@ impl SaveService {
         Ok(SavedModelId(crate::recovery::batch_doc_id(ids.into_iter().nth(2))?))
     }
 
-    /// Recovers a provenance model: recover the base, replay the training.
-    pub(crate) fn recover_provenance(
-        &self,
-        info: &ModelInfoDoc,
-        id: &SavedModelId,
-        opts: &RecoverOptions,
-        depth: usize,
-        breakdown: &mut RecoverBreakdown,
-    ) -> Result<Model, CoreError> {
-        let base_id = info.base_model.as_ref().ok_or_else(|| CoreError::BadModelDocument {
-            id: id.clone(),
-            reason: "provenance document lacks a base model".into(),
-        })?;
-        let base_id = SavedModelId(mmlib_store::DocId::from_string(base_id.clone()));
-        let model = self.recover_inner(&base_id, opts, depth + 1, breakdown)?;
-        self.replay_onto(info, id, model, breakdown)
-    }
-
     /// Replays a provenance document's training onto its already-recovered
-    /// base (the non-recursive half of
-    /// [`SaveService::recover_provenance`]).
+    /// base: one step of the chain replay in `SaveService::recover_inner`.
     pub(crate) fn replay_onto(
         &self,
         info: &ModelInfoDoc,

@@ -1,10 +1,11 @@
-//! The save/recover service: shared plumbing and the recursive recovery
+//! The save/recover service: shared plumbing and the chain recovery
 //! dispatcher.
 //!
 //! One [`SaveService`] exposes all three approaches (the approach used is
 //! recorded per model document, so a store may mix them) and one
-//! [`SaveService::recover`] entry point that resolves base-model chains
-//! recursively — the paper's recursive recovery of §3.2/§3.3.
+//! [`SaveService::recover`] entry point that resolves base-model chains —
+//! the paper's recursive recovery of §3.2/§3.3, run as a loop so chain
+//! depth costs heap, not stack.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -15,7 +16,6 @@ use mmlib_store::{BatchId, DocId, FileId, ModelStorage, StoreError};
 
 use crate::env::EnvironmentInfo;
 use crate::error::{to_json_value, CoreError};
-use crate::hash_cache::HashCache;
 use crate::merkle::MerkleTree;
 use crate::meta::{kinds, ApproachKind, ModelInfoDoc, SavedModelId};
 
@@ -132,7 +132,6 @@ pub struct SaveService {
     storage: ModelStorage,
     environment: EnvironmentInfo,
     obs: Option<Arc<Recorder>>,
-    hash_cache: HashCache,
 }
 
 impl SaveService {
@@ -141,12 +140,7 @@ impl SaveService {
     /// [`mmlib_obs::recorder`] unless overridden with
     /// [`SaveService::with_recorder`].
     pub fn new(storage: ModelStorage) -> SaveService {
-        SaveService {
-            storage,
-            environment: EnvironmentInfo::capture(),
-            obs: None,
-            hash_cache: HashCache::new(),
-        }
+        SaveService { storage, environment: EnvironmentInfo::capture(), obs: None }
     }
 
     /// Routes this service's metrics to `recorder` instead of the global
@@ -172,18 +166,6 @@ impl SaveService {
     /// The underlying storage (metrics: `bytes_written`).
     pub fn storage(&self) -> &ModelStorage {
         &self.storage
-    }
-
-    /// The save-path hash cache (fingerprint-gated incremental Merkle).
-    pub fn hash_cache(&self) -> &HashCache {
-        &self.hash_cache
-    }
-
-    /// Merkle tree of `model`'s current parameters via the service's hash
-    /// cache — byte-identical to [`MerkleTree::from_model`], incremental
-    /// when the previous save of this service had the same entry structure.
-    pub(crate) fn save_tree(&self, model: &Model) -> MerkleTree {
-        self.hash_cache.tree_for_model(model, self.obs())
     }
 
     /// The environment captured at service construction.
@@ -312,7 +294,7 @@ impl SaveService {
 
     // ---- recovery dispatch ------------------------------------------------
 
-    /// Recovers a saved model, resolving its base chain recursively.
+    /// Recovers a saved model, resolving its base chain.
     ///
     /// Returns the model together with a wall-time breakdown accumulated
     /// over the whole chain. Verification (when enabled) runs once, on the
@@ -326,33 +308,73 @@ impl SaveService {
         Ok(RecoveredModel { model: report.model, breakdown: report.breakdown })
     }
 
+    /// Walks `id`'s `base_model` links down to its snapshot (loading each
+    /// model-info document and checking its environment; `id` is depth 0),
+    /// then rebuilds the chain forward one step at a time. Both passes are
+    /// loops, so chain depth costs heap, never stack.
     pub(crate) fn recover_inner(
         &self,
         id: &SavedModelId,
         opts: &RecoverOptions,
-        depth: usize,
         breakdown: &mut RecoverBreakdown,
     ) -> Result<Model, CoreError> {
-        if depth > opts.max_chain_depth {
-            return Err(CoreError::BaseChainTooDeep { id: id.clone(), limit: opts.max_chain_depth });
-        }
-        let start = Instant::now();
-        let info = self.load_model_info(id)?;
-        breakdown.load += start.elapsed();
-        if depth > 0 {
-            breakdown.recovered_bases += 1;
-        }
-
-        if opts.check_env {
+        let mut derived: Vec<(SavedModelId, ModelInfoDoc)> = Vec::new();
+        let mut next = id.clone();
+        let (snapshot_id, snapshot) = loop {
+            let depth = derived.len();
+            if depth > opts.max_chain_depth {
+                return Err(CoreError::BaseChainTooDeep { id: next, limit: opts.max_chain_depth });
+            }
             let start = Instant::now();
-            self.check_environment(&info)?;
-            breakdown.check_env += start.elapsed();
+            let info = self.load_model_info(&next)?;
+            breakdown.load += start.elapsed();
+            if depth > 0 {
+                breakdown.recovered_bases += 1;
+            }
+            if opts.check_env {
+                let start = Instant::now();
+                self.check_environment(&info)?;
+                breakdown.check_env += start.elapsed();
+            }
+            if info.approach == ApproachKind::Baseline {
+                break (next, info);
+            }
+            let base = info.base_model.clone().ok_or_else(|| CoreError::BadModelDocument {
+                id: next.clone(),
+                reason: format!("{} document lacks a base model", info.approach.abbrev()),
+            })?;
+            derived.push((next, info));
+            next = SavedModelId(DocId::from_string(base));
+        };
+        let mut model = self.recover_full(&snapshot, &snapshot_id, opts.paper_init, breakdown)?;
+        for (id, info) in derived.iter().rev() {
+            model = self.rebuild_onto(info, id, Some(model), breakdown)?;
         }
+        Ok(model)
+    }
 
+    /// One recovery step from a loaded model-info document: snapshots
+    /// ignore `base` (and rebuild as skeletons), parameter updates and
+    /// provenance saves apply themselves onto it.
+    fn rebuild_onto(
+        &self,
+        info: &ModelInfoDoc,
+        id: &SavedModelId,
+        base: Option<Model>,
+        breakdown: &mut RecoverBreakdown,
+    ) -> Result<Model, CoreError> {
+        let need_base = |base: Option<Model>| {
+            base.ok_or_else(|| CoreError::BadModelDocument {
+                id: id.clone(),
+                reason: "recover_onto needs the recovered base model for a derived save".into(),
+            })
+        };
         match info.approach {
-            ApproachKind::Baseline => self.recover_full(&info, id, opts.paper_init, breakdown),
-            ApproachKind::ParamUpdate => self.recover_update(&info, id, opts, depth, breakdown),
-            ApproachKind::Provenance => self.recover_provenance(&info, id, opts, depth, breakdown),
+            ApproachKind::Baseline => self.recover_full(info, id, false, breakdown),
+            ApproachKind::ParamUpdate => {
+                self.apply_update_onto(info, id, need_base(base)?, breakdown)
+            }
+            ApproachKind::Provenance => self.replay_onto(info, id, need_base(base)?, breakdown),
         }
     }
 
@@ -376,19 +398,7 @@ impl SaveService {
         let start = Instant::now();
         let info = self.load_model_info(id)?;
         breakdown.load += start.elapsed();
-        let need_base = |base: Option<Model>| {
-            base.ok_or_else(|| CoreError::BadModelDocument {
-                id: id.clone(),
-                reason: "recover_onto needs the recovered base model for a derived save".into(),
-            })
-        };
-        match info.approach {
-            ApproachKind::Baseline => self.recover_full(&info, id, false, breakdown),
-            ApproachKind::ParamUpdate => {
-                self.apply_update_onto(&info, id, need_base(base)?, breakdown)
-            }
-            ApproachKind::Provenance => self.replay_onto(&info, id, need_base(base)?, breakdown),
-        }
+        self.rebuild_onto(&info, id, base, breakdown)
     }
 
     /// Verifies a recovered model against the stored Merkle root of `id`.

@@ -189,6 +189,10 @@ pub struct SaveReport {
     /// Bytes written to storage by this save (the paper's storage-
     /// consumption metric).
     pub storage_bytes: u64,
+    /// Tensor bytes this save's Merkle passes actually hashed: the entries
+    /// without a digest memo. Machine-invariant, unlike the `hash` phase's
+    /// wall time.
+    pub hashed_bytes: u64,
     /// Total time-to-save wall time.
     pub tts: Duration,
     /// Where the save time went, by phase (see [`SAVE_PHASES`]).
@@ -199,6 +203,20 @@ pub struct SaveReport {
     pub diff: Option<MerkleDiff>,
     /// The compressed encoding's statistics, for compressed updates.
     pub encoded: Option<mmlib_compress::EncodedUpdate>,
+}
+
+/// A save's phase clock, plus the tensor bytes its Merkle passes hashed
+/// ([`SaveReport::hashed_bytes`]).
+pub(crate) struct SaveClock<'r> {
+    phases: PhaseClock<'r>,
+    pub(crate) hashed_bytes: u64,
+}
+
+impl SaveClock<'_> {
+    /// Runs `f`, charging its wall time to `phase`.
+    pub(crate) fn time<T>(&mut self, phase: &'static str, f: impl FnOnce() -> T) -> T {
+        self.phases.time(phase, f)
+    }
 }
 
 /// Whether a recovery's bit-exactness was checked.
@@ -248,7 +266,8 @@ impl SaveService {
         let obs = self.obs();
         let bytes_before = self.storage().bytes_written();
         let start = Instant::now();
-        let mut clock = PhaseClock::new(obs, SAVE_PHASE, "phase");
+        let mut clock =
+            SaveClock { phases: PhaseClock::new(obs, SAVE_PHASE, "phase"), hashed_bytes: 0 };
         let relation = req.resolved_relation();
 
         let (id, approach, chain_depth, diff, encoded) = match req.kind {
@@ -332,8 +351,9 @@ impl SaveService {
             id,
             approach,
             storage_bytes,
+            hashed_bytes: clock.hashed_bytes,
             tts,
-            phases: clock.finish(),
+            phases: clock.phases.finish(),
             chain_depth,
             diff,
             encoded,
@@ -351,7 +371,7 @@ impl SaveService {
         let obs = self.obs();
         let start = Instant::now();
         let mut breakdown = RecoverBreakdown::default();
-        let model = self.recover_inner(id, &opts, 0, &mut breakdown)?;
+        let model = self.recover_inner(id, &opts, &mut breakdown)?;
 
         // Verification of the final model, against the *requested* id's
         // stored Merkle root (intermediate chain steps only feed parameters

@@ -14,7 +14,15 @@ use crate::meta::SavedModelId;
 
 /// Verifies a recovered model against a stored Merkle root (hex).
 pub fn verify_against_root(model: &Model, root_hex: &str, id: &SavedModelId) -> Result<(), CoreError> {
-    let tree = MerkleTree::from_model(model);
+    check_root(&MerkleTree::from_model(model), root_hex, id)
+}
+
+/// Compares an already-built tree's root against a stored root (hex).
+pub(crate) fn check_root(
+    tree: &MerkleTree,
+    root_hex: &str,
+    id: &SavedModelId,
+) -> Result<(), CoreError> {
     let actual = tree.root().to_hex();
     if actual == root_hex {
         Ok(())

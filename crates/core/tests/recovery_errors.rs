@@ -101,6 +101,36 @@ fn cyclic_base_chain_hits_the_depth_guard() {
     assert!(matches!(err, CoreError::BaseChainTooDeep { .. }), "{err}");
 }
 
+/// The depth guard is reached by a loop over the base links, not by
+/// recursion, so walking a cycle to the 1024-link limit returns
+/// `BaseChainTooDeep` even on a 256 KiB stack.
+#[test]
+fn cyclic_base_chain_hits_the_depth_guard_on_a_small_stack() {
+    let err = std::thread::Builder::new()
+        .stack_size(256 * 1024)
+        .spawn(|| {
+            let dir = tempfile::tempdir().unwrap();
+            let s = svc(dir.path());
+            let mut model = Model::new_initialized(ArchId::TinyCnn, 4);
+            model.set_fully_trainable();
+            let base = s.save_full(&model, None, "initial").unwrap();
+            model.visit_trainable_mut(&mut |p, t, _| {
+                if p.starts_with("fc") {
+                    t.data_mut()[0] += 1.0;
+                }
+            });
+            let (update, _) = s.save_update(&model, &base, "partially_updated").unwrap();
+            let mut doc = s.storage().get_doc(update.doc_id()).unwrap();
+            doc.body["base_model"] = json!(update.doc_id().as_str());
+            s.storage().docs().update(update.doc_id(), doc.body).unwrap();
+            s.recover(&update, RecoverOptions::default()).unwrap_err()
+        })
+        .unwrap()
+        .join()
+        .unwrap();
+    assert!(matches!(err, CoreError::BaseChainTooDeep { limit: 1024, .. }), "{err}");
+}
+
 #[test]
 fn tampered_root_hash_fails_verification() {
     let dir = tempfile::tempdir().unwrap();

@@ -206,6 +206,13 @@ pub struct SaveRecord {
     /// of device throughput, so the bench gate reads it to hold the
     /// batch-commit coalescing win.
     pub sync_ops: u64,
+    /// Tensor bytes this save hashed ([`mmlib_core::SaveReport::hashed_bytes`]).
+    /// Machine-invariant, so the bench gate reads it to hold the digest-memo
+    /// win.
+    pub hashed_bytes: u64,
+    /// For a parameter-update save, the bytes of the state entries in the
+    /// layers its Merkle diff found changed; `None` for other saves.
+    pub changed_bytes: Option<u64>,
     /// Simulated network transfer time for shipping this model's data over
     /// the cluster link (reported separately; never slept).
     pub network_time: Duration,
@@ -386,6 +393,8 @@ fn run_flow_inner(
         tts: u1.tts,
         phases: u1.phases,
         sync_ops,
+        hashed_bytes: u1.hashed_bytes,
+        changed_bytes: None,
         network_time,
     });
 
@@ -616,6 +625,7 @@ fn train_and_save(
     let sync_ops = service.storage().sync_ops() - syncs_before;
     // The node informs the server / ships the update over the cluster link.
     let network_time = network.record_transfer(report.storage_bytes);
+    let changed_bytes = report.diff.as_ref().map(|diff| layer_bytes(model, &diff.changed));
 
     SaveRecord {
         use_case: label.to_string(),
@@ -625,8 +635,23 @@ fn train_and_save(
         tts: report.tts,
         phases: report.phases,
         sync_ops,
+        hashed_bytes: report.hashed_bytes,
+        changed_bytes,
         network_time,
     }
+}
+
+/// Bytes of `model`'s state entries that belong to the named layers.
+fn layer_bytes(model: &Model, layers: &[String]) -> u64 {
+    model
+        .state_entries()
+        .iter()
+        .filter(|(path, _, _, _)| {
+            let layer = path.rsplit_once('.').map_or("", |(l, _)| l);
+            layers.iter().any(|l| l == layer)
+        })
+        .map(|(_, t, _, _)| t.nbytes() as u64)
+        .sum()
 }
 
 /// Copies a model for distribution to a node (U1/U2 deployments).

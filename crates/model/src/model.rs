@@ -249,6 +249,8 @@ impl Model {
 
     /// Copies another model's full state into this one, in place (no
     /// intermediate clones — important on page-fault-expensive hosts).
+    /// Digest memos come along ([`Tensor::copy_from`]), so a copy of a
+    /// hashed model hashes for free until its tensors are written.
     ///
     /// # Panics
     /// Panics if the architectures differ.
@@ -263,7 +265,7 @@ impl Model {
         self.root.visit_state_mut("", &mut |path, dst, _| {
             let (sp, st) = &src[i];
             assert_eq!(&path, sp, "state traversal order must match");
-            dst.data_mut().copy_from_slice(st.data());
+            dst.copy_from(st).expect("equal architectures have equal entry shapes");
             i += 1;
         });
         assert_eq!(i, src.len());

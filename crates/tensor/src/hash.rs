@@ -260,7 +260,15 @@ pub fn sha256(data: &[u8]) -> Digest {
 ///
 /// Including the shape means two tensors with identical bytes but different
 /// shapes hash differently, which the Merkle layer relies on.
+///
+/// Returns the tensor's digest memo when it has one (see [`Tensor`]);
+/// otherwise hashes, fills the memo and counts the work, so
+/// `mmlib_tensor_hash_bytes_total` counts only bytes actually hashed.
 pub fn hash_tensor(t: &Tensor) -> Digest {
+    *t.digest_memo().get_or_init(|| sha256_tensor(t))
+}
+
+fn sha256_tensor(t: &Tensor) -> Digest {
     let obs = mmlib_obs::recorder();
     obs.inc("mmlib_tensor_hash_ops_total", 1);
     obs.inc("mmlib_tensor_hash_bytes_total", t.data().len() as u64 * 4);

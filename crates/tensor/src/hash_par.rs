@@ -111,9 +111,13 @@ pub fn hash_tensors(tensors: &[&Tensor]) -> Vec<Digest> {
 }
 
 /// [`hash_tensors`] with an explicit worker count (tests pin this instead of
-/// mutating the process environment).
+/// mutating the process environment). Only tensors without a digest memo
+/// are spread over the workers; memoized ones cost a lookup.
 pub fn hash_tensors_with(tensors: &[&Tensor], workers: usize) -> Vec<Digest> {
-    digest_map_with(tensors, workers, |t| hash_tensor(t))
+    let cold: Vec<&Tensor> =
+        tensors.iter().copied().filter(|t| t.cached_digest().is_none()).collect();
+    digest_map_with(&cold, workers, |t| hash_tensor(t));
+    tensors.iter().map(|t| hash_tensor(t)).collect()
 }
 
 #[cfg(test)]
@@ -132,13 +136,23 @@ mod tests {
             .collect()
     }
 
+    /// Memo-less copies, so every call really hashes.
+    fn fresh(owned: &[Tensor]) -> Vec<Tensor> {
+        owned
+            .iter()
+            .map(|t| Tensor::from_vec(t.shape().clone(), t.data().to_vec()).unwrap())
+            .collect()
+    }
+
     #[test]
     fn parallel_matches_serial_for_various_worker_counts() {
         let owned = tensors(23);
-        let refs: Vec<&Tensor> = owned.iter().collect();
-        let serial: Vec<Digest> = refs.iter().map(|t| hash_tensor(t)).collect();
+        let serial: Vec<Digest> = fresh(&owned).iter().map(hash_tensor).collect();
         for workers in [1, 2, 3, 8, 64] {
+            let copies = fresh(&owned);
+            let refs: Vec<&Tensor> = copies.iter().collect();
             assert_eq!(hash_tensors_with(&refs, workers), serial, "workers={workers}");
+            assert!(copies.iter().all(|t| t.cached_digest().is_some()), "workers={workers}");
         }
     }
 

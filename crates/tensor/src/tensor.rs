@@ -1,6 +1,9 @@
 //! Dense `f32` tensors.
 
+use std::sync::OnceLock;
+
 use crate::error::TensorError;
+use crate::hash::Digest;
 use crate::prng::Pcg32;
 use crate::shape::Shape;
 use serde::{Deserialize, Serialize};
@@ -12,13 +15,25 @@ use serde::{Deserialize, Serialize};
 /// tool compares intermediate `Tensor`s layer by layer. Equality is exact
 /// (bit-wise on the underlying `f32`s), because the paper's recoverability
 /// definition demands the *exact* model, not an approximation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// A tensor memoizes its own SHA-256 digest ([`crate::hash::hash_tensor`])
+/// until it is next written: every mutating method goes through one private
+/// accessor that clears the memo, so the memo can only ever hold the digest
+/// of the tensor's current shape and bytes. Copies ([`Clone`],
+/// [`Tensor::copy_from`]) carry it, since their bytes are identical.
+#[derive(Debug, Clone)]
 pub struct Tensor {
     shape: Shape,
     data: Vec<f32>,
+    digest: OnceLock<Digest>,
 }
 
 impl Tensor {
+    /// A memo-less tensor; the caller has matched `data.len()` to `shape`.
+    fn raw(shape: Shape, data: Vec<f32>) -> Tensor {
+        Tensor { shape, data, digest: OnceLock::new() }
+    }
+
     /// Creates a tensor from a shape and a data buffer.
     ///
     /// Fails with [`TensorError::LengthMismatch`] if the buffer length does
@@ -28,14 +43,14 @@ impl Tensor {
         if shape.numel() != data.len() {
             return Err(TensorError::LengthMismatch { expected: shape.numel(), actual: data.len() });
         }
-        Ok(Tensor { shape, data })
+        Ok(Tensor::raw(shape, data))
     }
 
     /// A tensor of zeros.
     pub fn zeros(shape: impl Into<Shape>) -> Self {
         let shape = shape.into();
         let n = shape.numel();
-        Tensor { shape, data: vec![0.0; n] }
+        Tensor::raw(shape, vec![0.0; n])
     }
 
     /// A tensor of ones.
@@ -47,28 +62,26 @@ impl Tensor {
     pub fn full(shape: impl Into<Shape>, value: f32) -> Self {
         let shape = shape.into();
         let n = shape.numel();
-        Tensor { shape, data: vec![value; n] }
+        Tensor::raw(shape, vec![value; n])
     }
 
     /// A rank-0 (scalar) tensor.
     pub fn scalar(value: f32) -> Self {
-        Tensor { shape: Shape::scalar(), data: vec![value] }
+        Tensor::raw(Shape::scalar(), vec![value])
     }
 
     /// A tensor with i.i.d. uniform entries in `[lo, hi)` drawn from `rng`.
     pub fn rand_uniform(shape: impl Into<Shape>, lo: f32, hi: f32, rng: &mut Pcg32) -> Self {
         let shape = shape.into();
         let n = shape.numel();
-        let data = (0..n).map(|_| rng.uniform(lo, hi)).collect();
-        Tensor { shape, data }
+        Tensor::raw(shape, (0..n).map(|_| rng.uniform(lo, hi)).collect())
     }
 
     /// A tensor with i.i.d. normal entries drawn from `rng`.
     pub fn rand_normal(shape: impl Into<Shape>, mean: f32, std: f32, rng: &mut Pcg32) -> Self {
         let shape = shape.into();
         let n = shape.numel();
-        let data = (0..n).map(|_| rng.normal(mean, std)).collect();
-        Tensor { shape, data }
+        Tensor::raw(shape, (0..n).map(|_| rng.normal(mean, std)).collect())
     }
 
     /// The tensor's shape.
@@ -93,7 +106,37 @@ impl Tensor {
 
     /// Mutable view of the flat data buffer (row-major).
     pub fn data_mut(&mut self) -> &mut [f32] {
+        self.write()
+    }
+
+    /// The write path every mutator goes through: drops the digest memo,
+    /// then hands out the buffer.
+    fn write(&mut self) -> &mut [f32] {
+        self.digest.take();
         &mut self.data
+    }
+
+    /// The memoized digest, if this tensor has been hashed since its last
+    /// write.
+    pub fn cached_digest(&self) -> Option<Digest> {
+        self.digest.get().copied()
+    }
+
+    /// The digest memo cell, filled by [`crate::hash::hash_tensor`].
+    pub(crate) fn digest_memo(&self) -> &OnceLock<Digest> {
+        &self.digest
+    }
+
+    /// Overwrites this tensor with `src`'s data and digest memo, in place
+    /// (no reallocation).
+    ///
+    /// Fails with [`TensorError::ShapeMismatch`] unless the shapes are
+    /// equal.
+    pub fn copy_from(&mut self, src: &Tensor) -> Result<(), TensorError> {
+        self.check_shape("copy_from", src)?;
+        self.write().copy_from_slice(&src.data);
+        self.digest = src.digest.clone();
+        Ok(())
     }
 
     /// Consumes the tensor, returning its flat buffer.
@@ -124,6 +167,8 @@ impl Tensor {
         if shape.numel() != self.data.len() {
             return Err(TensorError::LengthMismatch { expected: shape.numel(), actual: self.data.len() });
         }
+        // The shape is hashed too, so a reshape is a write.
+        self.write();
         self.shape = shape;
         Ok(self)
     }
@@ -145,14 +190,14 @@ impl Tensor {
 
     /// Scales every element by `alpha`.
     pub fn scale(&mut self, alpha: f32) {
-        for v in &mut self.data {
+        for v in self.write() {
             *v *= alpha;
         }
     }
 
     /// Fills the tensor with a constant.
     pub fn fill(&mut self, value: f32) {
-        self.data.fill(value);
+        self.write().fill(value);
     }
 
     /// Sum of all elements, accumulated serially left-to-right in `f64`.
@@ -197,6 +242,14 @@ impl Tensor {
         other: &Tensor,
         f: impl Fn(f32, f32) -> f32,
     ) -> Result<(), TensorError> {
+        self.check_shape(op, other)?;
+        for (a, b) in self.write().iter_mut().zip(&other.data) {
+            *a = f(*a, *b);
+        }
+        Ok(())
+    }
+
+    fn check_shape(&self, op: &'static str, other: &Tensor) -> Result<(), TensorError> {
         if self.shape != other.shape {
             return Err(TensorError::ShapeMismatch {
                 op,
@@ -204,10 +257,32 @@ impl Tensor {
                 actual: other.shape.dims().to_vec(),
             });
         }
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a = f(*a, *b);
-        }
         Ok(())
+    }
+}
+
+// Hand-written so the memo stays out of the JSON form
+// `{"shape": ..., "data": [...]}`.
+impl Serialize for Tensor {
+    fn to_value(&self) -> serde::Value {
+        let mut map = serde::value::Map::new();
+        map.insert("shape".to_string(), self.shape.to_value());
+        map.insert("data".to_string(), self.data.to_value());
+        serde::Value::Object(map)
+    }
+}
+
+/// The JSON form's fields, decoded before the length check.
+#[derive(Deserialize)]
+struct TensorFields {
+    shape: Shape,
+    data: Vec<f32>,
+}
+
+impl Deserialize for Tensor {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::de::Error> {
+        let TensorFields { shape, data } = TensorFields::from_value(v)?;
+        Tensor::from_vec(shape, data).map_err(serde::de::Error::custom)
     }
 }
 
